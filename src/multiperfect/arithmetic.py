@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-ExactRational = Fraction
-
 # Trial division handles everything below this; larger cofactors go to rho.
 TRIAL_DIVISION_LIMIT = 100_000
 DEFAULT_RHO_BUDGET = 4_000_000

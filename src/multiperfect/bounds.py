@@ -63,9 +63,6 @@ class Interval:
         """True when every point here is below every point of other."""
         return self.upper < other.lower
 
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
     def decimal(self, digits: int = 20) -> tuple[str, str]:
         """Outward-rounded scientific-notation endpoint strings."""
         return (

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arithmetic import FactoredInteger, abundancy, sigma, unitary_divisors
+from .arithmetic import (
+    FactoredInteger,
+    abundancy,
+    sigma,
+    sigma_prime_power,
+    unitary_divisors,
+)
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,14 @@ def classify(n: FactoredInteger) -> PerfectionClass:
 
 def is_primitive(n: FactoredInteger) -> bool:
     """True iff no unitary divisor d of n with 1 < d < n has d | sigma(d)."""
-    for d in unitary_divisors(n):
-        if d.value == 1 or d.value == n.value:
-            continue
-        if sigma(d) % d.value == 0:
-            return False
-    return True
+    # (d, sigma(d)) for every unitary divisor, as subset products of n's
+    # prime powers. Plain integers: building a FactoredInteger per divisor
+    # would test n's primes for primality again, 2^omega times.
+    pairs = [(1, 1)]
+    for p, e in n.factors:
+        pe, spe = p**e, sigma_prime_power(p, e)
+        pairs += [(d * pe, s * spe) for d, s in pairs]
+    return all(s % d for d, s in pairs if 1 < d < n.value)
 
 
 def _remove_unitary(n: FactoredInteger, d: FactoredInteger) -> FactoredInteger:

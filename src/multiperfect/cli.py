@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import traceback
+from decimal import Decimal
 from fractions import Fraction
 
 from .arithmetic import FactorizationExhausted, FactoredInteger, factorize
@@ -119,7 +120,7 @@ def _emit_records(records: list[dict], output: str, stream) -> None:
 
 
 def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if args.jobs is not None:
         return args.jobs
     env = os.environ.get("MPS_JOBS")
     if env and env.isdigit() and int(env) >= 1:
@@ -132,11 +133,16 @@ def _diag(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _shorten(n: int) -> str:
-    s = str(n)
-    if len(s) <= 20:
-        return s
-    return f"{s[0]}.{s[1:16]}e+{len(s) - 1}"
+def _decimal(n: int) -> str:
+    # Decimal takes the int without a string, so this also works past the
+    # interpreter's limit on int-to-str conversion (4300 digits by default).
+    return str(Decimal(n))
+
+
+def _shorten(digits: str) -> str:
+    if len(digits) <= 20:
+        return digits
+    return f"{digits[0]}.{digits[1:16]}e+{len(digits) - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,6 @@ def _cmd_chain_search(args) -> int:
         max_omega=args.max_omega,
         limit=args.limit,
         parity=parity,
-        omega_floor_pruning=args.omega_floor_pruning,
         worker_count=_resolve_jobs(args),
     )
     report = chain_search(params)
@@ -313,7 +318,7 @@ def _cmd_bounds(args) -> int:
                 multiperfect_count_bound(k, r, args.limit)
             )
             if r <= 20:
-                row["absolute_count_bound"] = str(absolute_count_bound(k, r))
+                row["absolute_count_bound"] = _decimal(absolute_count_bound(k, r))
                 row["chain_check"] = all(ok for _, ok in bound_chain_check(k, r))
         rows.append(row)
     summary = {
@@ -353,7 +358,7 @@ def _cmd_bounds(args) -> int:
             )
             if integer and "absolute_count_bound" in row:
                 line += (
-                    f"  absolute <= {_shorten(int(row['absolute_count_bound']))}"
+                    f"  absolute <= {_shorten(row['absolute_count_bound'])}"
                     f"  chain={'ok' if row['chain_check'] else 'FAIL'}"
                 )
             print(line)
@@ -368,7 +373,6 @@ def _cmd_verify(args) -> int:
         max_omega=args.max_omega,
         limit=args.limit,
         parity=parity,
-        omega_floor_pruning=False,
         worker_count=jobs,
     )
     oracle = brute_scan(args.alpha, args.limit, parity, worker_count=jobs)
@@ -426,7 +430,7 @@ def _add_common(sub, *, limit=True, omega=False, parity=True, jobs=True):
         sub.add_argument("--odd-only", action="store_true",
                          help="restrict to odd numbers")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=None,
+        sub.add_argument("--jobs", type=_parse_positive_int, default=None,
                          help="worker processes (default: MPS_JOBS or all cores)")
     sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
     sub.add_argument("--quiet", action="store_true",
@@ -443,8 +447,6 @@ def build_parser() -> _Parser:
 
     chain = subs.add_parser("chain-search", help="signature-chain enumeration")
     _add_common(chain, omega=True)
-    chain.add_argument("--omega-floor-pruning", action="store_true",
-                       help="skip omega below the known floor for odd integer alpha")
     chain.set_defaults(func=_cmd_chain_search)
 
     cls = subs.add_parser("classify", help="abundancy and multiperfection of n")

@@ -2,10 +2,11 @@
 
 Two independent routes. ``brute_scan`` sieves divisor sums over fixed-size
 blocks with paired-divisor accumulation and tests sigma(n)/n = alpha
-directly; it is the oracle. ``chain_search`` enumerates signature chains
-(p1, e1, ..., es): after the free choice of p1 and each exponent, the next
-prime is forced, so walking all exponent ladders visits every primitive
-alpha-perfect number up to the limit while exploring a bounded tree.
+directly; it is the oracle. ``chain_search`` walks one tree of signature
+chains (p1, e1, ..., es) with s <= r: after the free choice of p1 and each
+exponent, the next prime is forced by the chain rule (``ChainRule``), so
+walking all exponent ladders visits every primitive alpha-perfect number
+up to the limit with at most r distinct primes.
 Every number either route reports is re-verified by an exact sigma
 computation on its factorization.
 """
@@ -32,10 +33,10 @@ from .arithmetic import (
 from .bounds import (
     absolute_count_bound,
     multiperfect_count_bound,
-    omega_floor,
     primitive_count_bound,
 )
 from .classify import is_primitive
+from .signature import ChainRule
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 
@@ -46,7 +47,6 @@ PRUNE_RULES = (
     "chain_broken",
     "depth_cap",
     "nonminimal_start",
-    "omega_floor",
 )
 
 
@@ -58,7 +58,6 @@ class SearchParams:
     max_omega: int
     limit: int
     parity: str = "any"
-    omega_floor_pruning: bool = False
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -72,6 +71,15 @@ class SearchParams:
             raise ValueError(f"unknown parity {self.parity!r}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+
+    @property
+    def omega_floor_pruning(self) -> bool:
+        """Always False, kept read-only for callers that still check it.
+
+        chain_search walks one tree holding every omega up to max_omega,
+        so no tree of a small omega is left to skip.
+        """
+        return False
 
 
 @dataclass(frozen=True)
@@ -231,37 +239,15 @@ class _ChainState:
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
 
 
-def _derive_next(
-    sigma_exp: dict[int, int],
-    used: set[int],
-    nu_alpha: dict[int, int],
-    den_primes: tuple[int, ...],
-) -> int | None:
-    # Smallest unused prime whose valuation in the sigma product exceeds its
-    # valuation in alpha; only sigma-product and denominator primes qualify.
-    best = None
-    for p in sigma_exp:
-        if p not in used and sigma_exp[p] > nu_alpha.get(p, 0):
-            if best is None or p < best:
-                best = p
-    for p in den_primes:
-        if p not in used and sigma_exp.get(p, 0) > nu_alpha[p]:
-            if best is None or p < best:
-                best = p
-    return best
-
-
 def _dfs(
     chain: list[tuple[int, int]],
     product: int,
     sigma_prod: int,
-    sigma_exp: dict[int, int],
-    used: set[int],
-    s_target: int,
+    rule: ChainRule,
     ctx: tuple,
     state: _ChainState,
 ) -> None:
-    num, den, nu_alpha, den_primes, limit = ctx
+    num, den, limit, depth_cap = ctx
     state.nodes += 1
     lhs = den * sigma_prod
     rhs = num * product
@@ -271,11 +257,11 @@ def _dfs(
     if lhs > rhs:
         state.prunes["abundancy_exceeded"] += 1
         return
-    nxt = _derive_next(sigma_exp, used, nu_alpha, den_primes)
+    nxt = rule.next_prime()
     if nxt is None:
         state.prunes["chain_broken"] += 1
         return
-    if len(chain) == s_target:
+    if len(chain) == depth_cap:
         state.prunes["depth_cap"] += 1
         return
     if nxt < chain[0][0]:
@@ -284,122 +270,80 @@ def _dfs(
         # prime, and no odd target survives a derived factor of 2.
         state.prunes["nonminimal_start"] += 1
         return
-    used.add(nxt)
     power = nxt
     e = 1
     while product * power <= limit:
-        child_exp = dict(sigma_exp)
-        for q, k in factored_sigma_prime_power(nxt, e):
-            child_exp[q] = child_exp.get(q, 0) + k
+        sigma_factors = factored_sigma_prime_power(nxt, e)
+        rule.add(nxt, sigma_factors)
         chain.append((nxt, e))
         _dfs(
             chain,
             product * power,
             sigma_prod * ((power * nxt - 1) // (nxt - 1)),
-            child_exp,
-            used,
-            s_target,
+            rule,
             ctx,
             state,
         )
         chain.pop()
+        rule.undo(nxt, sigma_factors)
         e += 1
         power *= nxt
-    used.discard(nxt)
     state.prunes["product_exceeds_limit"] += 1
 
 
 def _chain_task(args):
-    (num, den, nu_alpha_items, den_primes, limit, s_target, p1, e1) = args
+    alpha, limit, depth_cap, p1, e1 = args
     state = _ChainState()
-    nu_alpha = dict(nu_alpha_items)
-    ctx = (num, den, nu_alpha, den_primes, limit)
+    ctx = (alpha.numerator, alpha.denominator, limit, depth_cap)
     incomplete: list[str] = []
-    sigma_exp: dict[int, int] = {}
+    rule = ChainRule(alpha)
     try:
-        for q, k in factored_sigma_prime_power(p1, e1):
-            sigma_exp[q] = sigma_exp.get(q, 0) + k
+        rule.add(p1, factored_sigma_prime_power(p1, e1))
         _dfs(
             [(p1, e1)],
             p1**e1,
             (p1 ** (e1 + 1) - 1) // (p1 - 1),
-            sigma_exp,
-            {p1},
-            s_target,
+            rule,
             ctx,
             state,
         )
     except FactorizationExhausted as exc:
-        incomplete.append(f"s={s_target} p1={p1} e1={e1}: {exc}")
+        incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
-        incomplete.append(f"s={s_target} p1={p1} e1={e1}: recursion limit")
+        incomplete.append(f"p1={p1} e1={e1}: recursion limit")
     return state.found, state.nodes, state.prunes, incomplete
 
 
 def chain_search(params: SearchParams) -> SearchReport:
     """Enumerate signature chains; complete for primitive alpha-perfect n.
 
-    For each target omega s = 1..max_omega, the free choices are p1 (odd
-    primes capped by floor(alpha*s/(alpha-1)), plus 2 unless odd_only) and
-    the exponent at each level; all later primes are derived. Every state
-    is tested for sigma(d) = alpha*d exactly, so reported numbers need no
+    One tree holds every chain of at most max_omega primes. Its free
+    choices are p1 (2 unless odd_only, and the odd primes up to
+    floor(alpha*r/(alpha-1)) with r = max_omega) and the exponent at each
+    level; all later primes are derived. The p1 cap grows with omega, so
+    this tree contains the tree of every smaller omega. Every state is
+    tested for sigma(d) = alpha*d exactly, so reported numbers need no
     chain to close early. A branch that hits the factorization budget is
     recorded and flips the exhaustive flag instead of aborting the search.
     """
     alpha = params.alpha
     num, den = alpha.numerator, alpha.denominator
-    nu_alpha: dict[int, int] = {}
-    for p, e in factorize(num).factors:
-        nu_alpha[p] = e
-    den_primes = []
-    for p, e in factorize(den).factors:
-        nu_alpha[p] = nu_alpha.get(p, 0) - e
-        den_primes.append(p)
-    den_primes = tuple(den_primes)
-
     prunes = dict.fromkeys(PRUNE_RULES, 0)
-    integer_alpha = den == 1
-    floor_s = omega_floor(num) if integer_alpha and num >= 2 else 0
 
-    global_cap = _p1_cap(alpha, params.max_omega)
-    odd_candidates = [p for p in primes_upto(max(global_cap, 2)) if p > 2]
-
+    starts = [] if params.parity == "odd_only" else [2]
+    starts += [p for p in primes_upto(_p1_cap(alpha, params.max_omega)) if p > 2]
+    # The cap cuts the ladder of odd p1 once, as the limit cuts each
+    # exponent ladder once.
+    prunes["p1_bound"] += 1
     tasks = []
-    for s in range(1, params.max_omega + 1):
-        if (
-            params.omega_floor_pruning
-            and params.parity == "odd_only"
-            and integer_alpha
-            and s < floor_s
-        ):
-            prunes["omega_floor"] += 1
-            continue
-        cap = _p1_cap(alpha, s)
-        starts = [] if params.parity == "odd_only" else [2]
-        for p in odd_candidates:
-            if p > cap:
-                prunes["p1_bound"] += 1
-            else:
-                starts.append(p)
-        for p1 in starts:
-            power = p1
-            e1 = 1
-            while power <= params.limit:
-                tasks.append(
-                    (
-                        num,
-                        den,
-                        tuple(nu_alpha.items()),
-                        den_primes,
-                        params.limit,
-                        s,
-                        p1,
-                        e1,
-                    )
-                )
-                e1 += 1
-                power *= p1
-            prunes["product_exceeds_limit"] += 1
+    for p1 in starts:
+        power = p1
+        e1 = 1
+        while power <= params.limit:
+            tasks.append((alpha, params.limit, params.max_omega, p1, e1))
+            e1 += 1
+            power *= p1
+        prunes["product_exceeds_limit"] += 1
 
     if params.worker_count > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=params.worker_count) as pool:

@@ -16,7 +16,6 @@ unpeeled cofactor equals nu_p(S) - nu_p(alpha).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,7 +26,6 @@ from .arithmetic import (
     factorize,
     is_prime,
     nu,
-    nu_rational,
     sigma,
 )
 from .classify import is_primitive
@@ -127,34 +125,77 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
     )
 
 
+class ChainRule:
+    """The bottom-up rule as incremental state for one alpha.
+
+    Holds nu_p(alpha) for the primes of alpha, the exponents of the sigma
+    product S over the chain so far, and the chain primes used. ``add`` and
+    ``undo`` extend and shorten the chain by one prime power, given the
+    factorization of its divisor sum; ``next_prime`` applies the rule.
+    """
+
+    __slots__ = ("nu_alpha", "den_primes", "sigma_exp", "used")
+
+    def __init__(self, alpha: Fraction):
+        den = factorize(alpha.denominator).factors
+        self.nu_alpha = dict(factorize(alpha.numerator).factors)
+        self.nu_alpha.update((p, -e) for p, e in den)
+        self.den_primes = tuple(p for p, _ in den)
+        self.sigma_exp: dict[int, int] = {}
+        self.used: set[int] = set()
+
+    def add(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
+        """Append prime p, whose power has divisor sum sigma_factors."""
+        self.used.add(p)
+        for q, k in sigma_factors:
+            self.sigma_exp[q] = self.sigma_exp.get(q, 0) + k
+
+    def undo(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
+        """Reverse the matching ``add``, leaving the state exactly as before."""
+        self.used.discard(p)
+        for q, k in sigma_factors:
+            left = self.sigma_exp[q] - k
+            if left:
+                self.sigma_exp[q] = left
+            else:
+                del self.sigma_exp[q]
+
+    def next_prime(self) -> Optional[int]:
+        """Smallest unused prime p with nu_p(S) > nu_p(alpha), or None.
+
+        Only primes dividing S or alpha's denominator can qualify; for all
+        others the left side is 0 and the right side is >= 0. A
+        denominator prime always qualifies, its right side being negative.
+        """
+        used, nu_alpha = self.used, self.nu_alpha
+        best = None
+        for p, k in self.sigma_exp.items():
+            if k > nu_alpha.get(p, 0) and p not in used:
+                if best is None or p < best:
+                    best = p
+        for p in self.den_primes:
+            if p not in used and (best is None or p < best):
+                best = p
+        return best
+
+
 def next_chain_prime(
     alpha: Fraction, chain: Sequence[tuple[int, int]]
 ) -> Optional[int]:
     """Smallest unused prime p with nu_p(prod sigma(p_j^e_j)) > nu_p(alpha).
 
-    Returns None when no prime qualifies (the chain is closed). Only primes
-    dividing the sigma product or alpha's denominator can qualify; for all
-    others the left side is 0 and the right side is >= 0.
+    Returns None when no prime qualifies (the chain is closed).
     """
     if not chain:
         raise EmptyChain("the first chain prime is not determined by the rule")
-    used = {p for p, _ in chain}
-    if len(used) != len(chain):
+    if len({p for p, _ in chain}) != len(chain):
         raise ValueError("chain primes must be distinct")
-    sigma_exp: Counter[int] = Counter()
+    rule = ChainRule(alpha)
     for p, e in chain:
         if e < 1:
             raise ValueError(f"exponent {e} for prime {p} must be >= 1")
-        for q, k in factored_sigma_prime_power(p, e):
-            sigma_exp[q] += k
-    candidates = set(sigma_exp)
-    candidates.update(p for p, _ in factorize(alpha.denominator).factors)
-    for p in sorted(candidates):
-        if p in used:
-            continue
-        if sigma_exp.get(p, 0) > nu_rational(p, alpha):
-            return p
-    return None
+        rule.add(p, factored_sigma_prime_power(p, e))
+    return rule.next_prime()
 
 
 def reconstruct(
@@ -174,17 +215,20 @@ def reconstruct(
         raise ValueError("exponents must be a nonempty sequence of integers >= 1")
     if not is_prime(p1):
         raise ValueError(f"p1 = {p1} is not prime")
-    chain: list[tuple[int, int]] = [(p1, exponents[0])]
-    for step, e in enumerate(exponents[1:], start=2):
-        p = next_chain_prime(alpha, chain)
+    rule = ChainRule(alpha)
+    chain: list[tuple[int, int]] = []
+    p = p1
+    for step, e in enumerate(exponents, start=1):
         if p is None:
             return Reconstruction(None, tuple(chain), "chain_broke_at_step", step)
         chain.append((p, e))
+        rule.add(p, factored_sigma_prime_power(p, e))
+        p = rule.next_prime()
     number = FactoredInteger.from_factors(sorted(chain))
     if sigma(number) * alpha.denominator != alpha.numerator * number.value:
         return Reconstruction(None, tuple(chain), "not_alpha_perfect")
     # Unreachable in theory: sigma(n) = alpha*n forces the criterion to fail
     # for every unused prime. Kept as a guard on the derivation itself.
-    if next_chain_prime(alpha, chain) is not None:
+    if p is not None:
         return Reconstruction(None, tuple(chain), "chain_overran")
     return Reconstruction(number, tuple(chain))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from multiperfect import arithmetic
 from multiperfect.arithmetic import abundancy, factorize, sigma, unitary_divisors
 from multiperfect.classify import (
     PrimitiveDecomposition,
@@ -67,6 +68,25 @@ class TestIsPrimitive:
                     expected = False
                     break
             assert is_primitive(fi) == expected
+
+    def test_does_not_retest_primality(self, monkeypatch):
+        # n's primes were checked when n was factored; is_primitive must not
+        # pay for that again on each of its 2^omega unitary divisors
+        cases = {
+            672: True,
+            210: False,
+            1379454720: False,  # 3 * 459818240, which is triperfect
+            2178540: True,
+            2**60 * (2**61 - 1): True,
+            3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * (2**61 - 1): True,
+        }
+        inputs = {n: factorize(n) for n in cases}
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(arithmetic, "is_prime", refuse)
+        assert {n: is_primitive(fi) for n, fi in inputs.items()} == cases
 
     def test_even_perfect_numbers_are_primitive(self):
         # every proper unitary divisor of a perfect number has abundancy

@@ -3,6 +3,9 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
+
+import pytest
 
 import multiperfect.search as search
 from multiperfect.arithmetic import factorize
@@ -210,6 +213,23 @@ class TestBoundsCommand:
         assert code == 0
         assert "alpha = 3/2" in out
 
+    def test_r20_past_the_int_string_limit(self, capsys):
+        # 2*4^8000 has 4817 digits, more than int <-> str converts by default
+        for output in ("json", "csv", "table"):
+            code, out, _ = run_cli(
+                capsys, "bounds", "--alpha", "2", "--max-r", "20",
+                "--output", output,
+            )
+            assert code == 0
+            if output == "json":
+                value = json.loads(out)["rows"][19]["absolute_count_bound"]
+            elif output == "csv":
+                value = list(csv.reader(io.StringIO(out)))[20][4]
+            else:
+                assert "r=20" in out and "absolute <= 6.038938674478455e+4816" in out
+                continue
+            assert int(Decimal(value)) == 2 * 4**8000
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--alpha", "2", "--max-r", "2", "--output", "csv"
@@ -264,6 +284,22 @@ class TestArgumentErrors:
 
 
 class TestJobsResolution:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--alpha", "2", "--limit", "1000"],
+            ["chain-search", "--alpha", "2", "--limit", "1000", "--max-omega", "4"],
+            ["verify", "--alpha", "2", "--limit", "1000", "--max-omega", "4"],
+        ],
+        ids=["scan", "chain-search", "verify"],
+    )
+    def test_jobs_must_be_positive(self, capsys, argv, jobs):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MPS_JOBS", "1")
         code, out, _ = run_cli(

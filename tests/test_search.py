@@ -1,10 +1,16 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import multiperfect.search as search
-from multiperfect.arithmetic import factored_sigma_prime_power, factorize, sigma
+from multiperfect.arithmetic import (
+    factored_sigma_prime_power,
+    factorize,
+    nu,
+    nu_rational,
+    sigma,
+    sigma_prime_power,
+)
 from multiperfect.classify import classify, is_primitive
 from multiperfect.search import (
     SearchParams,
@@ -14,9 +20,17 @@ from multiperfect.search import (
     multiperfect_scan,
     verify_counts,
 )
-from multiperfect.signature import next_chain_prime
+from multiperfect.signature import ChainRule
 
 from conftest import sigma_naive
+
+
+PERFECT_BELOW_1E13 = [6, 28, 496, 8128, 33550336, 8589869056, 137438691328]
+TRIPERFECT_ALL = [120, 672, 523776, 459818240, 1476304896, 51001180160]
+QUADPERFECT_FIRST_12 = [
+    30240, 32760, 2178540, 23569920, 45532800, 142990848, 1379454720,
+    43861478400, 66433720320, 153003540480, 403031236608, 704575228896,
+]
 
 
 def naive_catalog(alpha: Fraction, limit: int, parity: str = "any") -> list[int]:
@@ -146,6 +160,23 @@ class TestChainSearch:
         w = {f.number.value for f in wide.found}
         assert s <= m <= w
 
+    @pytest.mark.parametrize(
+        "alpha,limit,r,expected",
+        [
+            # OEIS A000396, the perfect numbers below 10^13
+            (2, 10**13, 14, PERFECT_BELOW_1E13),
+            # OEIS A005820, the six known triperfect numbers
+            (3, 10**11, 12, TRIPERFECT_ALL),
+            # OEIS A027687, its first 12 terms (all below 10^12)
+            (4, 10**12, 12, QUADPERFECT_FIRST_12),
+        ],
+        ids=["A000396", "A005820", "A027687"],
+    )
+    def test_known_answers_beyond_the_sieve(self, alpha, limit, r, expected):
+        report = chain_search(SearchParams(Fraction(alpha), r, limit))
+        assert [f.number.value for f in report.found] == expected
+        assert report.exhaustive
+
     def test_count_by_omega(self):
         report = chain_search(SearchParams(Fraction(3), 6, 10**6))
         assert report.count_by_omega == {3: 2, 4: 1}
@@ -174,16 +205,6 @@ class TestChainSearch:
         report = chain_search(SearchParams(Fraction(3), 6, 10**6))
         assert set(report.pruned_by) == set(search.PRUNE_RULES)
         assert report.pruned_by["p1_bound"] > 0
-        assert report.pruned_by["omega_floor"] == 0
-
-    def test_omega_floor_pruning_skips_small_omega(self):
-        base = chain_search(SearchParams(Fraction(2), 9, 10**6, "odd_only"))
-        pruned = chain_search(
-            SearchParams(Fraction(2), 9, 10**6, "odd_only", omega_floor_pruning=True)
-        )
-        assert pruned.pruned_by["omega_floor"] == 8
-        assert base.found == pruned.found == ()
-        assert pruned.nodes_explored < base.nodes_explored
 
     def test_factorization_budget_marks_non_exhaustive(self, monkeypatch):
         original = factored_sigma_prime_power
@@ -213,38 +234,52 @@ class TestChainSearch:
             SearchParams(Fraction(2), 3, 100, worker_count=0)
 
 
-class TestDerivationAgreement:
-    def test_internal_derivation_matches_public_rule(self):
-        # the search's incremental next-prime state must agree with the
-        # standalone rule on every prefix it can reach
-        for alpha in (Fraction(2), Fraction(3), Fraction(3, 2), Fraction(9, 5)):
-            nu_alpha = {}
-            for p, e in factorize(alpha.numerator).factors:
-                nu_alpha[p] = e
-            den_primes = []
-            for p, e in factorize(alpha.denominator).factors:
-                nu_alpha[p] = nu_alpha.get(p, 0) - e
-                den_primes.append(p)
-            for chain in (
-                [(2, 1)],
-                [(2, 5)],
-                [(2, 5), (3, 1)],
-                [(3, 2)],
-                [(3, 2), (13, 1)],
-                [(2, 9), (3, 1), (11, 1)],
-                [(5, 1)],
-            ):
-                sigma_exp = Counter()
-                for p, e in chain:
-                    for q, k in factored_sigma_prime_power(p, e):
-                        sigma_exp[q] += k
-                got = search._derive_next(
-                    dict(sigma_exp),
-                    {p for p, _ in chain},
-                    nu_alpha,
-                    tuple(den_primes),
-                )
-                assert got == next_chain_prime(alpha, chain), (alpha, chain)
+def direct_next_prime(alpha: Fraction, chain) -> int | None:
+    """The chain rule read straight off its definition."""
+    s = 1
+    for p, e in chain:
+        s *= sigma_prime_power(p, e)
+    used = {p for p, _ in chain}
+    # only primes of S or of alpha's denominator can qualify
+    candidates = {p for p, _ in factorize(s * alpha.denominator).factors}
+    qualifying = [
+        p for p in candidates - used if nu(p, s) > nu_rational(p, alpha)
+    ]
+    return min(qualifying, default=None)
+
+
+class TestChainRule:
+    @pytest.mark.parametrize(
+        "alpha,limit",
+        [(Fraction(4), 10**7), (Fraction(3, 2), 10**6), (Fraction(9, 5), 10**6)],
+    )
+    def test_matches_direct_definition_on_every_walked_prefix(
+        self, alpha, limit, monkeypatch
+    ):
+        walk = search._dfs
+        prefixes = []
+
+        def checked(chain, product, sigma_prod, rule, *rest):
+            before = (dict(rule.sigma_exp), set(rule.used))
+            assert rule.used == {p for p, _ in chain}
+            assert rule.next_prime() == direct_next_prime(alpha, chain), chain
+            prefixes.append(tuple(chain))
+            walk(chain, product, sigma_prod, rule, *rest)
+            # every child added below this node has been undone exactly
+            assert (rule.sigma_exp, rule.used) == before, chain
+
+        monkeypatch.setattr(search, "_dfs", checked)
+        report = chain_search(SearchParams(alpha, 12, limit))
+        assert len(set(prefixes)) == len(prefixes) == report.nodes_explored
+
+    def test_undo_restores_state(self):
+        rule = ChainRule(Fraction(9, 5))
+        rule.add(3, factored_sigma_prime_power(3, 4))
+        before = (dict(rule.sigma_exp), set(rule.used), rule.next_prime())
+        factors = factored_sigma_prime_power(11, 2)
+        rule.add(11, factors)
+        rule.undo(11, factors)
+        assert (rule.sigma_exp, rule.used, rule.next_prime()) == before
 
 
 class TestVerifyCounts:
