@@ -213,9 +213,12 @@ def is_prime(n: int) -> bool:
     return not any(_mr_witness(a, d, r, n) for a in bases)
 
 
-def _pollard_rho(n: int, budget: int) -> tuple[int | None, int]:
-    """Brent-cycle rho with a deterministic parameter schedule.
+def _pollard_rho(n: int, budget: int, k: int = 2) -> tuple[int | None, int]:
+    """Brent-cycle rho on x^k + c with a deterministic parameter schedule.
 
+    k = 2 is the classical map. An even k > 2 pays off when every prime
+    factor q of n is 1 mod k: x^k then takes only (q - 1)/k + 1 values
+    mod q, so the walk cycles about sqrt(k - 1) times sooner.
     Returns (factor, steps_used); factor is None if the budget ran out.
     """
     steps = 0
@@ -225,22 +228,22 @@ def _pollard_rho(n: int, budget: int) -> tuple[int | None, int]:
         while g == 1 and steps < budget:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
+                y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
+            j = 0
+            while j < r and g == 1:
                 ys = y
-                batch = min(128, r - k)
+                batch = min(128, r - j)
                 for _ in range(batch):
-                    y = (y * y + c) % n
+                    y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
-                k += batch
+                j += batch
                 steps += batch
             r *= 2
         if g == n:
             g = 1
             while g == 1 and steps < budget:
-                ys = (ys * ys + c) % n
+                ys = (ys * ys + c) % n if k == 2 else (pow(ys, k, n) + c) % n
                 g = gcd(abs(x - ys), n)
                 steps += 1
         if 1 < g < n:
@@ -248,6 +251,66 @@ def _pollard_rho(n: int, budget: int) -> tuple[int | None, int]:
         if steps >= budget:
             return None, steps
     return None, steps
+
+
+def _rho_step_cost(k: int) -> int:
+    """One step of x^k + c, charged in steps of x^2 + c: a power of two.
+
+    pow(y, k, n) squares about k.bit_length() - 1 times; measured with
+    CPython 3.11 on 11-40-digit cofactors, a step for k = 14..118 cost
+    3.4-5.9 steps of x^2 + c. The charge is the power of two at or above
+    k.bit_length() (4 or 8 there). It is a power of two because
+    ``_pollard_rho`` overshoots its budget to the end of a doubling
+    round: a budget B / 2^a then ends after 2^a times fewer steps than B
+    does, so a budget hit on x^k + c takes no longer than the same budget
+    spent on x^2 + c.
+    """
+    return 1 if k == 2 else 1 << (k.bit_length() - 1).bit_length()
+
+
+def _split_into(
+    n: int,
+    found: dict[int, int],
+    budget: int,
+    trial_primes,
+    k: int,
+    whole: int,
+) -> int:
+    """Add the prime factors of n to found; return the rho budget left.
+
+    Trial division runs over trial_primes (ascending) while their square
+    does not exceed the cofactor; what remains is split by rho on x^k + c,
+    each step charged _rho_step_cost(k) from the budget. ``whole`` is the
+    number being factored, for the error message.
+    """
+    for p in trial_primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    cost = _rho_step_cost(k)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        d, used = _pollard_rho(m, budget // cost, k)
+        budget -= used * cost
+        if d is None:
+            raise FactorizationExhausted(
+                f"cofactor {m} of {whole} exceeded the factorization budget"
+            )
+        stack.append(d)
+        stack.append(m // d)
+    return budget
+
+
+def _generic_trial_primes(n: int) -> tuple[int, ...]:
+    return primes_upto(min(TRIAL_DIVISION_LIMIT, isqrt(n) + 1))
 
 
 def factorize(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> FactoredInteger:
@@ -260,33 +323,10 @@ def factorize(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> FactoredIntege
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; expected n >= 1")
-    value = n
     found: dict[int, int] = {}
     if n > 1:
-        for p in primes_upto(min(TRIAL_DIVISION_LIMIT, isqrt(n) + 1)):
-            if p * p > n:
-                break
-            while n % p == 0:
-                found[p] = found.get(p, 0) + 1
-                n //= p
-        budget = rho_budget
-        stack = [n] if n > 1 else []
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                found[m] = found.get(m, 0) + 1
-                continue
-            d, used = _pollard_rho(m, budget)
-            budget -= used
-            if d is None:
-                raise FactorizationExhausted(
-                    f"cofactor {m} of {value} exceeded the factorization budget"
-                )
-            stack.append(d)
-            stack.append(m // d)
-    return FactoredInteger(value, tuple(sorted(found.items())))
+        _split_into(n, found, rho_budget, _generic_trial_primes(n), 2, n)
+    return FactoredInteger(n, tuple(sorted(found.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +382,59 @@ def unitary_divisors(n: FactoredInteger) -> list[FactoredInteger]:
     return [FactoredInteger(v, f) for v, f in divs]
 
 
+def _cyclotomic_pieces(p: int, n: int) -> list[tuple[int, int]]:
+    """(d, Phi_d(p)) for every divisor d > 1 of n, ascending in d.
+
+    Phi_d(p) = (p^d - 1) / prod of Phi_c(p) over the divisors c < d of d,
+    with Phi_1(p) = p - 1; every division is exact.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    phi: dict[int, int] = {}
+    for d in divisors:
+        value = p**d - 1
+        for c in divisors:
+            if c >= d:
+                break
+            if d % c == 0:
+                value //= phi[c]
+        phi[d] = value
+    return [(d, phi[d]) for d in divisors[1:]]
+
+
+@lru_cache(maxsize=None)
+def _primes_one_mod(k: int) -> tuple[int, ...]:
+    """Primes q <= TRIAL_DIVISION_LIMIT with q = 1 (mod k), ascending."""
+    return tuple(q for q in primes_upto(TRIAL_DIVISION_LIMIT) if q % k == 1)
+
+
 @lru_cache(maxsize=200_000)
 def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
-    """Factorization of sigma(p^e); memoized because chains share prefixes."""
-    return factorize(sigma_prime_power(p, e)).factors
+    """Factorization of sigma(p^e); memoized because chains share prefixes.
+
+    sigma(p^e) = prod of Phi_d(p) over the divisors d > 1 of e + 1, and
+    each cyclotomic piece is factored on its own. A prime factor of
+    Phi_d(p) divides d or is 1 mod d, so for d > 2, once the primes of d
+    are divided out, trial division needs only the primes q = 1 (mod k)
+    and rho iterates x^k + c, with k = d for even d and k = 2d for odd d
+    (odd q = 1 mod d is then 1 mod 2d). Pieces with d <= 2 take the
+    generic path of ``factorize``. One rho budget of DEFAULT_RHO_BUDGET
+    x^2 + c steps covers all pieces, each step charged by its cost in such
+    steps, so a budget hit takes no longer than on the unsplit value.
+    Exponents are merged across pieces: a prime of e + 1 can divide two.
+    """
+    value = sigma_prime_power(p, e)
+    found: dict[int, int] = {}
+    budget = DEFAULT_RHO_BUDGET
+    for d, piece in _cyclotomic_pieces(p, e + 1):
+        if d <= 2:
+            k, trial_primes = 2, _generic_trial_primes(piece)
+        else:
+            for q in primes_upto(d):
+                if d % q == 0:
+                    while piece % q == 0:
+                        found[q] = found.get(q, 0) + 1
+                        piece //= q
+            k = d if d % 2 == 0 else 2 * d
+            trial_primes = _primes_one_mod(k)
+        budget = _split_into(piece, found, budget, trial_primes, k, value)
+    return FactoredInteger(value, tuple(sorted(found.items()))).factors

@@ -17,7 +17,6 @@ from .arithmetic import (
     abundancy,
     sigma,
     sigma_prime_power,
-    unitary_divisors,
 )
 
 
@@ -78,16 +77,23 @@ def classify(n: FactoredInteger) -> PerfectionClass:
     return PerfectionClass(alpha, integer, rational)
 
 
-def is_primitive(n: FactoredInteger) -> bool:
-    """True iff no unitary divisor d of n with 1 < d < n has d | sigma(d)."""
-    # (d, sigma(d)) for every unitary divisor, as subset products of n's
-    # prime powers. Plain integers: building a FactoredInteger per divisor
-    # would test n's primes for primality again, 2^omega times.
+def _unitary_sigma_pairs(n: FactoredInteger) -> list[tuple[int, int]]:
+    """(d, sigma(d)) for every unitary divisor d of n, in subset order.
+
+    Subset products of n's prime powers, in plain integers: building a
+    FactoredInteger per divisor would test n's primes for primality
+    again, 2^omega times.
+    """
     pairs = [(1, 1)]
     for p, e in n.factors:
         pe, spe = p**e, sigma_prime_power(p, e)
         pairs += [(d * pe, s * spe) for d, s in pairs]
-    return all(s % d for d, s in pairs if 1 < d < n.value)
+    return pairs
+
+
+def is_primitive(n: FactoredInteger) -> bool:
+    """True iff no unitary divisor d of n with 1 < d < n has d | sigma(d)."""
+    return all(s % d for d, s in _unitary_sigma_pairs(n) if 1 < d < n.value)
 
 
 def _remove_unitary(n: FactoredInteger, d: FactoredInteger) -> FactoredInteger:
@@ -110,19 +116,24 @@ def primitive_decomposition(n: FactoredInteger) -> PrimitiveDecomposition:
     multipliers: list[int] = []
     cofactor = n
     while True:
-        best = None
-        for d in unitary_divisors(cofactor):
-            if d.value == 1 or d.value == cofactor.value:
-                continue
-            s = sigma(d)
-            if s % d.value == 0:
-                best = (d, s // d.value)
-                break
+        best = min(
+            (
+                (d, s)
+                for d, s in _unitary_sigma_pairs(cofactor)
+                if 1 < d < cofactor.value and s % d == 0
+            ),
+            default=None,
+        )
         if best is None:
             break
-        part, multiplier = best
+        d, s = best
+        # Only the peeled part becomes a FactoredInteger; d is unitary, so
+        # its primes are exactly the cofactor's primes that divide it.
+        part = FactoredInteger(
+            d, tuple((p, e) for p, e in cofactor.factors if d % p == 0)
+        )
         parts.append(part)
-        multipliers.append(multiplier)
+        multipliers.append(s // d)
         cofactor = _remove_unitary(cofactor, part)
     leftover_alpha = abundancy(cofactor)
     leftover_mp = leftover_alpha.denominator == 1 and leftover_alpha >= 2

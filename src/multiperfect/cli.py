@@ -123,8 +123,11 @@ def _resolve_jobs(args) -> int:
     if args.jobs is not None:
         return args.jobs
     env = os.environ.get("MPS_JOBS")
-    if env and env.isdigit() and int(env) >= 1:
-        return int(env)
+    if env:
+        try:
+            return _parse_positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"MPS_JOBS: {exc}") from None
     return os.cpu_count() or 1
 
 

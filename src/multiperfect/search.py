@@ -292,11 +292,11 @@ def _dfs(
 
 
 def _chain_task(args):
-    alpha, limit, depth_cap, p1, e1 = args
+    alpha, empty_rule, limit, depth_cap, p1, e1 = args
     state = _ChainState()
     ctx = (alpha.numerator, alpha.denominator, limit, depth_cap)
     incomplete: list[str] = []
-    rule = ChainRule(alpha)
+    rule = empty_rule.fresh()
     try:
         rule.add(p1, factored_sigma_prime_power(p1, e1))
         _dfs(
@@ -335,12 +335,13 @@ def chain_search(params: SearchParams) -> SearchReport:
     # The cap cuts the ladder of odd p1 once, as the limit cuts each
     # exponent ladder once.
     prunes["p1_bound"] += 1
+    empty_rule = ChainRule(alpha)
     tasks = []
     for p1 in starts:
         power = p1
         e1 = 1
         while power <= params.limit:
-            tasks.append((alpha, params.limit, params.max_omega, p1, e1))
+            tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
             e1 += 1
             power *= p1
         prunes["product_exceeds_limit"] += 1

@@ -144,6 +144,15 @@ class ChainRule:
         self.sigma_exp: dict[int, int] = {}
         self.used: set[int] = set()
 
+    def fresh(self) -> "ChainRule":
+        """An empty chain for the same alpha, without factoring alpha again."""
+        rule = ChainRule.__new__(ChainRule)
+        rule.nu_alpha = self.nu_alpha
+        rule.den_primes = self.den_primes
+        rule.sigma_exp = {}
+        rule.used = set()
+        return rule
+
     def add(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
         """Append prime p, whose power has divisor sum sigma_factors."""
         self.used.add(p)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import multiperfect.arithmetic as arithmetic
 from multiperfect.arithmetic import (
     FactoredInteger,
     FactorizationExhausted,
+    _pollard_rho,
+    _rho_step_cost,
     abundancy,
+    factored_sigma_prime_power,
     factorize,
     is_prime,
     nth_odd_prime,
@@ -217,3 +221,93 @@ class TestUnitaryDivisors:
             for d in unitary_divisors(fi):
                 if 1 < d.value < n:
                     assert abundancy(d) < a_n
+
+
+def _first_prime_one_mod(k, start):
+    q = start - start % k + 1
+    while q <= start or not is_prime(q):
+        q += k
+    return q
+
+
+class TestPollardRho:
+    def test_classical_map_steps_unchanged(self):
+        # (factor, steps) of the x^2 + c walk, pinned so that the exponent
+        # argument cannot change what factorize does
+        assert _pollard_rho(1_000_003 * 1_000_033, 10**6) == (1_000_033, 511)
+        assert _pollard_rho(1_000_000_007 * 2_000_000_011, 10**6) == (
+            1_000_000_007,
+            27647,
+        )
+        assert _pollard_rho(2**64 + 1, 10**6) == (274177, 895)
+        assert _pollard_rho(1_000_003 * 1_000_033, 100) == (None, 127)
+
+    @pytest.mark.parametrize("k", [4, 14, 26, 74])
+    def test_power_map_splits_primes_one_mod_k(self, k):
+        q1, q2 = _first_prime_one_mod(k, 10**9), _first_prime_one_mod(k, 10**10)
+        factor, steps = _pollard_rho(q1 * q2, 10**6, k)
+        assert factor in (q1, q2)
+        assert 0 < steps < 10**6
+
+
+class TestFactoredSigmaPrimePower:
+    # e + 1 composite, so sigma(p^e) splits into several cyclotomic pieces,
+    # then e + 1 prime, a single piece Phi_{e+1}(p)
+    COMPOSITE = [(2, 92), (61, 13), (5, 38), (7, 33)]
+    PRIME = [(3, 58), (127, 12), (2, 78)]
+
+    @pytest.mark.parametrize("p, e", COMPOSITE + PRIME)
+    def test_matches_sympy(self, p, e):
+        sympy = pytest.importorskip("sympy")
+        expected = tuple(sorted(sympy.factorint(sigma_prime_power(p, e)).items()))
+        assert factored_sigma_prime_power(p, e) == expected
+
+    def test_seeded_grid_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        primes = primes_upto(199)
+        for _ in range(60):
+            p = rng.choice(primes)
+            e_max = 1
+            while p ** (e_max + 1) < 10**24:
+                e_max += 1
+            e = rng.randint(1, e_max)
+            expected = sympy.factorint(sigma_prime_power(p, e))
+            assert factored_sigma_prime_power(p, e) == tuple(sorted(expected.items()))
+
+    def test_small_cases_match_factorize(self):
+        for p in primes_upto(60):
+            for e in range(0, 13):
+                assert (
+                    factored_sigma_prime_power(p, e)
+                    == factorize(sigma_prime_power(p, e)).factors
+                )
+
+    def test_zero_budget_still_exhausts(self, monkeypatch):
+        # Phi_59(3) = sigma(3^58) has a composite cofactor past trial
+        # division, so only rho can split it
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 0)
+        with pytest.raises(FactorizationExhausted):
+            factored_sigma_prime_power.__wrapped__(3, 58)
+
+    def test_step_cost_is_a_power_of_two_at_or_above_bit_length(self):
+        assert _rho_step_cost(2) == 1
+        assert _rho_step_cost(74) == 8
+        for k in range(4, 1000, 2):
+            cost = _rho_step_cost(k)
+            assert cost & (cost - 1) == 0
+            assert k.bit_length() <= cost < 2 * k.bit_length()
+
+    def test_budget_is_charged_by_step_cost(self, monkeypatch):
+        # sigma(17^36) = Phi_37(17) is one piece, walked with x^74 + c
+        calls = []
+
+        def spy(n, budget, k=2):
+            calls.append((budget, k))
+            return None, budget
+
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 8000)
+        monkeypatch.setattr(arithmetic, "_pollard_rho", spy)
+        with pytest.raises(FactorizationExhausted):
+            factored_sigma_prime_power.__wrapped__(17, 36)
+        assert calls == [(8000 // _rho_step_cost(74), 74)]

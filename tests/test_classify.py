@@ -157,6 +157,51 @@ class TestPrimitiveDecomposition:
             second = primitive_decomposition(factorize(n))
             assert first == second
 
+    def test_matches_unitary_divisor_scan(self):
+        # the peeling rule restated over unitary_divisors, ascending
+        def reference(n):
+            parts, cofactor = [], n
+            while True:
+                qualifying = [
+                    d.value
+                    for d in unitary_divisors(factorize(cofactor))
+                    if 1 < d.value < cofactor and sigma(d) % d.value == 0
+                ]
+                if not qualifying:
+                    return parts, cofactor
+                parts.append(qualifying[0])
+                cofactor //= qualifying[0]
+
+        for n in list(range(1, 3000)) + [30240, 3 * 459818240, 2**6 * 3 * 127 * 5]:
+            dec = primitive_decomposition(factorize(n))
+            parts, leftover = reference(n)
+            assert [p.value for p in dec.parts] == parts
+            assert dec.leftover.value == leftover
+            for part in dec.parts + (dec.leftover,):
+                assert part == factorize(part.value)
+
+    def test_counts_primality_tests(self, monkeypatch):
+        # only the peeled parts and the cofactors are built as
+        # FactoredIntegers, never each of the 2^omega unitary divisors
+        big = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * (2**61 - 1)
+        primitive_input = factorize(3 * big)
+        peeled_input = factorize(2 * 3 * big)
+        calls = []
+        real = arithmetic.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arithmetic, "is_prime", counting)
+        dec = primitive_decomposition(primitive_input)
+        assert dec.parts == () and dec.leftover == primitive_input
+        assert calls == []
+        dec = primitive_decomposition(peeled_input)
+        assert [p.value for p in dec.parts] == [6]
+        assert dec.leftover.value == big
+        assert len(calls) == peeled_input.omega
+
     def test_rejects_non_coprime_pieces(self):
         with pytest.raises(ValueError):
             PrimitiveDecomposition(

@@ -300,6 +300,23 @@ class TestJobsResolution:
         assert out == ""
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_env_jobs_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MPS_JOBS", value)
+        code, out, err = run_cli(capsys, "scan", "--alpha", "2", "--limit", "1000")
+        assert code == 1
+        assert out == ""
+        assert "MPS_JOBS" in err and value in err
+
+    def test_jobs_flag_takes_precedence_over_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPS_JOBS", "abc")
+        code, out, _ = run_cli(
+            capsys, "scan", "--alpha", "2", "--limit", "10000", "--jobs", "1",
+            "--quiet",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MPS_JOBS", "1")
         code, out, _ = run_cli(
