@@ -22,6 +22,8 @@ from .arithmetic import nth_odd_prime
 DEFAULT_PRECISION = 128
 _MAX_PRECISION = 1 << 14
 _REL_TOLERANCE = Fraction(1, 10**12)
+# The largest r for which k*4^(r^3) and its inequality chain are evaluated.
+MAX_ABSOLUTE_R = 20
 
 # mpmath precision is context-global; serialize evaluations.
 _iv_lock = threading.Lock()
@@ -229,8 +231,8 @@ def absolute_count_bound(k: int, r: int) -> int:
     """Exact k * 4^(r^3), the limit-free bound for odd k-perfect numbers."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not 1 <= r <= 20:
-        raise ValueError("r must be between 1 and 20")
+    if not 1 <= r <= MAX_ABSOLUTE_R:
+        raise ValueError(f"r must be between 1 and {MAX_ABSOLUTE_R}")
     return k * 4 ** (r**3)
 
 
@@ -252,13 +254,9 @@ def bound_chain_check(k: int, r: int) -> list[tuple[str, bool]]:
     Exponent steps are exact rational arithmetic; the value comparison runs
     in interval arithmetic against the exact right-hand integer.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if not 1 <= r <= 20:
-        raise ValueError("r must be between 1 and 20")
+    final = absolute_count_bound(k, r)  # also rejects k < 2 and r out of range
     q = Fraction(r * r + 8 * r, 9)
     mid_expo = Fraction(r**3 + 8 * r**2, 9)
-    final = absolute_count_bound(k, r)
 
     ln2 = _rigorous(lambda: iv.log(iv.mpf(2)))
     lnx = _rigorous(lambda: _log_limit(r, None))
@@ -318,8 +316,9 @@ def bound_report(alpha: Fraction, r: int, x: Optional[Number] = None) -> BoundRe
     f_values = {i: count_coefficient(i) for i in range(1, r + 1)}
     primitive = primitive_count_bound(alpha, r, x, integer_alpha=integer)
     multi = multiperfect_count_bound(int(alpha), r, x) if integer else None
-    absolute = absolute_count_bound(int(alpha), r) if integer and r <= 20 else None
-    chain = bound_chain_check(int(alpha), r) if integer and r <= 20 else []
+    exact = integer and r <= MAX_ABSOLUTE_R
+    absolute = absolute_count_bound(int(alpha), r) if exact else None
+    chain = bound_chain_check(int(alpha), r) if exact else []
     return BoundReport(
         alpha=alpha,
         r=r,

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .arithmetic import FactorizationExhausted, FactoredInteger, factorize
 from .bounds import (
+    MAX_ABSOLUTE_R,
     absolute_count_bound,
     bound_chain_check,
     count_coefficient,
@@ -78,10 +79,18 @@ def _alpha_str(alpha: Fraction) -> str:
     return f"{alpha.numerator}/{alpha.denominator}"
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _pairs(factors) -> list[list[int]]:
+    return [[p, e] for p, e in factors]
+
+
 def _record(fi: FactoredInteger, alpha: Fraction, primitive: bool, source: str) -> dict:
     return {
         "n": str(fi.value),
-        "factors": [[p, e] for p, e in fi.factors],
+        "factors": _pairs(fi.factors),
         "omega": fi.omega,
         "alpha": _alpha_str(alpha),
         "primitive": primitive,
@@ -89,33 +98,30 @@ def _record(fi: FactoredInteger, alpha: Fraction, primitive: bool, source: str) 
     }
 
 
-def _emit_records(records: list[dict], output: str, stream) -> None:
-    if output == "json":
-        for rec in records:
-            stream.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    elif output == "csv":
+def _emit_records(found, alpha: Fraction, source: str, output: str, stream) -> None:
+    """Write one record per (number, primitive) pair in found."""
+    if output == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["n", "factors", "omega", "alpha", "primitive", "source"])
-        for rec in records:
+    for fi, primitive in found:
+        rec = _record(fi, alpha, primitive, source)
+        if output == "json":
+            stream.write(_json(rec) + "\n")
+        elif output == "csv":
             writer.writerow(
                 [
                     rec["n"],
-                    json.dumps(rec["factors"], separators=(",", ":")),
+                    _json(rec["factors"]),
                     rec["omega"],
                     rec["alpha"],
-                    str(rec["primitive"]).lower(),
-                    rec["source"],
+                    str(primitive).lower(),
+                    source,
                 ]
             )
-    else:
-        for rec in records:
-            factors = " * ".join(
-                f"{p}^{e}" if e > 1 else str(p) for p, e in rec["factors"]
-            ) or "1"
+        else:
             stream.write(
                 f"{rec['n']:>16}  omega={rec['omega']}  alpha={rec['alpha']}"
-                f"  primitive={str(rec['primitive']).lower()}"
-                f"  [{factors}]  ({rec['source']})\n"
+                f"  primitive={str(primitive).lower()}  [{fi}]  ({source})\n"
             )
 
 
@@ -152,34 +158,34 @@ def _shorten(digits: str) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _search_params(args) -> SearchParams:
+    return SearchParams(
+        alpha=args.alpha,
+        max_omega=args.max_omega,
+        limit=args.limit,
+        parity="odd_only" if args.odd_only else "any",
+        worker_count=_resolve_jobs(args),
+    )
+
+
 def _cmd_scan(args) -> int:
     parity = "odd_only" if args.odd_only else "any"
     jobs = _resolve_jobs(args)
     found = brute_scan(args.alpha, args.limit, parity, worker_count=jobs)
-    records = [_record(fi, args.alpha, is_primitive(fi), "scan") for fi in found]
-    _emit_records(records, args.output, sys.stdout)
-    _diag(args, f"scan: {len(records)} found up to {args.limit} (jobs={jobs})")
+    pairs = [(fi, is_primitive(fi)) for fi in found]
+    _emit_records(pairs, args.alpha, "scan", args.output, sys.stdout)
+    _diag(args, f"scan: {len(pairs)} found up to {args.limit} (jobs={jobs})")
     return 0
 
 
 def _cmd_chain_search(args) -> int:
-    parity = "odd_only" if args.odd_only else "any"
-    params = SearchParams(
-        alpha=args.alpha,
-        max_omega=args.max_omega,
-        limit=args.limit,
-        parity=parity,
-        worker_count=_resolve_jobs(args),
-    )
-    report = chain_search(params)
-    records = [
-        _record(f.number, args.alpha, f.primitive, "chain") for f in report.found
-    ]
-    _emit_records(records, args.output, sys.stdout)
+    report = chain_search(_search_params(args))
+    pairs = [(f.number, f.primitive) for f in report.found]
+    _emit_records(pairs, args.alpha, "chain", args.output, sys.stdout)
     prune_text = ", ".join(f"{k}={v}" for k, v in report.pruned_by.items() if v)
     _diag(
         args,
-        f"chain-search: {len(records)} found, {report.nodes_explored} states"
+        f"chain-search: {len(pairs)} found, {report.nodes_explored} states"
         f" explored, prunes: {prune_text or 'none'}",
     )
     if not report.exhaustive:
@@ -195,7 +201,7 @@ def _cmd_classify(args) -> int:
     primitive = is_primitive(fi)
     payload = {
         "n": str(fi.value),
-        "factors": [[p, e] for p, e in fi.factors],
+        "factors": _pairs(fi.factors),
         "omega": fi.omega,
         "alpha": _alpha_str(perf.alpha),
         "status": perf.status,
@@ -210,7 +216,7 @@ def _cmd_classify(args) -> int:
               + (" (rational)" if perf.rational_multiperfect else ""))
         print(f"primitive: {str(primitive).lower()}")
     else:
-        print(json.dumps(payload, separators=(",", ":")))
+        print(_json(payload))
     return 0
 
 
@@ -222,14 +228,14 @@ def _cmd_decompose(args) -> int:
         "parts": [
             {
                 "n": str(part.value),
-                "factors": [[p, e] for p, e in part.factors],
+                "factors": _pairs(part.factors),
                 "multiplier": mult,
             }
             for part, mult in zip(dec.parts, dec.multipliers)
         ],
         "leftover": {
             "n": str(dec.leftover.value),
-            "factors": [[p, e] for p, e in dec.leftover.factors],
+            "factors": _pairs(dec.leftover.factors),
         },
         "leftover_is_multiperfect": dec.leftover_is_multiperfect,
     }
@@ -244,7 +250,7 @@ def _cmd_decompose(args) -> int:
             f"  multiperfect={str(dec.leftover_is_multiperfect).lower()}"
         )
     else:
-        print(json.dumps(payload, separators=(",", ":")))
+        print(_json(payload))
     return 0
 
 
@@ -263,7 +269,7 @@ def _cmd_signature_extract(args) -> int:
         print(f"exponents: {','.join(map(str, sig.exponents))}")
         print(f"chain: {' -> '.join(map(str, sig.chain_primes))}")
     else:
-        print(json.dumps(payload, separators=(",", ":")))
+        print(_json(payload))
     return 0
 
 
@@ -293,11 +299,11 @@ def _cmd_signature_reconstruct(args) -> int:
             "p1": args.p1,
             "exponents": exponents,
             "value": str(result.number.value) if result.ok else None,
-            "chain": [[p, e] for p, e in result.chain],
+            "chain": _pairs(result.chain),
             "failure": result.failure,
             "failed_step": result.failed_step,
         }
-        print(json.dumps(payload, separators=(",", ":")))
+        print(_json(payload))
     return 0
 
 
@@ -320,7 +326,7 @@ def _cmd_bounds(args) -> int:
             row["multiperfect_count_bound"] = _interval_json(
                 multiperfect_count_bound(k, r, args.limit)
             )
-            if r <= 20:
+            if r <= MAX_ABSOLUTE_R:
                 row["absolute_count_bound"] = _decimal(absolute_count_bound(k, r))
                 row["chain_check"] = all(ok for _, ok in bound_chain_check(k, r))
         rows.append(row)
@@ -330,7 +336,7 @@ def _cmd_bounds(args) -> int:
         "rows": rows,
     }
     if args.output == "json":
-        print(json.dumps(summary, separators=(",", ":")))
+        print(_json(summary))
     elif args.output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = ["r", "count_coefficient_upper", "primitive_bound_upper"]
@@ -351,8 +357,7 @@ def _cmd_bounds(args) -> int:
                 ]
             writer.writerow(out)
     else:
-        limit_text = str(args.limit) if args.limit else "2^(4^r)"
-        print(f"alpha = {_alpha_str(alpha)}, limit = {limit_text}")
+        print(f"alpha = {summary['alpha']}, limit = {summary['limit']}")
         for row in rows:
             line = (
                 f"r={row['r']:>2}"
@@ -369,31 +374,25 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    parity = "odd_only" if args.odd_only else "any"
-    jobs = _resolve_jobs(args)
-    params = SearchParams(
-        alpha=args.alpha,
-        max_omega=args.max_omega,
-        limit=args.limit,
-        parity=parity,
-        worker_count=jobs,
+    params = _search_params(args)
+    oracle = brute_scan(
+        params.alpha, params.limit, params.parity, worker_count=params.worker_count
     )
-    oracle = brute_scan(args.alpha, args.limit, parity, worker_count=jobs)
     oracle_records = [
-        _record(fi, args.alpha, is_primitive(fi), "scan") for fi in oracle
+        _record(fi, params.alpha, is_primitive(fi), "scan") for fi in oracle
     ]
     oracle_primitive = {rec["n"] for rec in oracle_records if rec["primitive"]}
     report = chain_search(params)
     chain_records = [
-        _record(f.number, args.alpha, f.primitive, "chain") for f in report.found
+        _record(f.number, params.alpha, f.primitive, "chain") for f in report.found
     ]
     chain_set = {rec["n"] for rec in chain_records}
     checks = verify_counts(params, report)
     summary = {
-        "alpha": _alpha_str(args.alpha),
-        "limit": str(args.limit),
-        "max_omega": args.max_omega,
-        "parity": parity,
+        "alpha": _alpha_str(params.alpha),
+        "limit": str(params.limit),
+        "max_omega": params.max_omega,
+        "parity": params.parity,
         "oracle": oracle_records,
         "chain": chain_records,
         "primitive_set_equal": oracle_primitive == chain_set,
@@ -410,7 +409,7 @@ def _cmd_verify(args) -> int:
             for c in checks
         ],
     }
-    print(json.dumps(summary, separators=(",", ":")))
+    print(_json(summary))
     if not report.exhaustive:
         return 2
     return 0

@@ -13,7 +13,7 @@ computation on its factorization.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -31,6 +31,7 @@ from .arithmetic import (
     sigma,
 )
 from .bounds import (
+    MAX_ABSOLUTE_R,
     absolute_count_bound,
     multiperfect_count_bound,
     primitive_count_bound,
@@ -50,6 +51,24 @@ PRUNE_RULES = (
 )
 
 
+def _check_args(alpha: Fraction | None, limit: int, parity: str) -> None:
+    """The checks every search makes; alpha None means any integer abundancy."""
+    if alpha is not None and alpha <= 1:
+        raise ValueError("alpha must exceed 1")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if parity not in ("any", "odd_only"):
+        raise ValueError(f"unknown parity {parity!r}")
+
+
+def _map(fn, tasks: list, worker_count: int, chunksize: int) -> list:
+    """[fn(t) for t in tasks], on a process pool when it has work to share."""
+    if worker_count > 1 and len(tasks) > 1:
+        with futures.ProcessPoolExecutor(max_workers=worker_count) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(t) for t in tasks]
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Target alpha, omega cap r, limit x, parity, and worker settings."""
@@ -61,14 +80,9 @@ class SearchParams:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+        _check_args(self.alpha, self.limit, self.parity)
         if self.max_omega < 1:
             raise ValueError("max_omega must be >= 1")
-        if self.limit < 1:
-            raise ValueError("limit must be >= 1")
-        if self.parity not in ("any", "odd_only"):
-            raise ValueError(f"unknown parity {self.parity!r}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
 
@@ -132,38 +146,55 @@ def _sigma_block(lo: int, hi: int) -> np.ndarray:
     return sig
 
 
+def _meets(target: Fraction | None, sig, n):
+    """sigma(n) = target*n, or an integer multiple >= 2 of n for target None.
+
+    Works elementwise on the sieve's arrays and on exact ints alike.
+    """
+    if target is None:
+        return (sig % n == 0) & (sig >= 2 * n)
+    return target.denominator * sig == target.numerator * n
+
+
 def _scan_block(task) -> list[int]:
-    lo, hi, num, den, integer_mode = task
-    sig = _sigma_block(lo, hi)
+    lo, hi, target = task
     n_vals = np.arange(lo, hi, dtype=np.int64)
-    if integer_mode:
-        hits = np.nonzero((sig % n_vals == 0) & (sig >= 2 * n_vals))[0]
-    else:
-        hits = np.nonzero(den * sig == num * n_vals)[0]
+    hits = np.nonzero(_meets(target, _sigma_block(lo, hi), n_vals))[0]
     return [int(n) for n in n_vals[hits]]
 
 
 def _run_blocks(
-    limit: int,
-    num: int,
-    den: int,
-    integer_mode: bool,
-    worker_count: int,
-    block_size: int,
+    limit: int, target: Fraction | None, worker_count: int, block_size: int
 ) -> list[int]:
+    """Sieve candidates n <= limit for target, block by block, unsorted."""
+    num, den = (1, 1) if target is None else (target.numerator, target.denominator)
     if num * limit >= 1 << 62 or den * 7 * limit >= 1 << 62:
         raise ValueError("alpha times limit exceeds the exact range of the sieve")
     tasks = [
-        (lo, min(lo + block_size, limit + 1), num, den, integer_mode)
+        (lo, min(lo + block_size, limit + 1), target)
         for lo in range(1, limit + 1, block_size)
     ]
-    if worker_count > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            chunks = pool.map(_scan_block, tasks, chunksize=1)
-            candidates = [n for chunk in chunks for n in chunk]
-    else:
-        candidates = [n for task in tasks for n in _scan_block(task)]
-    return candidates
+    return [n for chunk in _map(_scan_block, tasks, worker_count, 1) for n in chunk]
+
+
+def _sieve_scan(
+    target: Fraction | None,
+    limit: int,
+    parity: str,
+    worker_count: int,
+    block_size: int,
+) -> list[FactoredInteger]:
+    """Sieve, then re-verify each candidate through sigma of its factorization."""
+    _check_args(target, limit, parity)
+    out = []
+    for n in sorted(_run_blocks(limit, target, worker_count, block_size)):
+        if parity == "odd_only" and n % 2 == 0:
+            continue
+        fi = factorize(n)
+        if not _meets(target, sigma(fi), n):
+            raise AssertionError(f"sieve candidate {n} failed sigma re-verification")
+        out.append(fi)
+    return out
 
 
 def brute_scan(
@@ -179,25 +210,7 @@ def brute_scan(
     Sieve candidates are re-verified one by one through an independent
     sigma computation on the factorization before being reported.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if parity not in ("any", "odd_only"):
-        raise ValueError(f"unknown parity {parity!r}")
-    candidates = _run_blocks(
-        limit, alpha.numerator, alpha.denominator, False, worker_count, block_size
-    )
-    out = []
-    for n in sorted(candidates):
-        if parity == "odd_only" and n % 2 == 0:
-            continue
-        fi = factorize(n)
-        if sigma(fi) * alpha.denominator != alpha.numerator * n:
-            raise AssertionError(f"sieve candidate {n} failed sigma re-verification")
-        out.append(fi)
-    return out
+    return _sieve_scan(Fraction(alpha), limit, parity, worker_count, block_size)
 
 
 def multiperfect_scan(
@@ -207,17 +220,7 @@ def multiperfect_scan(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[FactoredInteger]:
     """All n <= limit whose abundancy sigma(n)/n is an integer >= 2."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    candidates = _run_blocks(limit, 1, 1, True, worker_count, block_size)
-    out = []
-    for n in sorted(candidates):
-        fi = factorize(n)
-        s = sigma(fi)
-        if s % n != 0 or s < 2 * n:
-            raise AssertionError(f"sieve candidate {n} failed sigma re-verification")
-        out.append(fi)
-    return out
+    return _sieve_scan(None, limit, "any", worker_count, block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +349,7 @@ def chain_search(params: SearchParams) -> SearchReport:
             power *= p1
         prunes["product_exceeds_limit"] += 1
 
-    if params.worker_count > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=params.worker_count) as pool:
-            results = list(pool.map(_chain_task, tasks, chunksize=8))
-    else:
-        results = [_chain_task(t) for t in tasks]
+    results = _map(_chain_task, tasks, params.worker_count, 8)
 
     nodes = 0
     incomplete: list[str] = []
@@ -444,7 +443,7 @@ def verify_counts(params: SearchParams, report: SearchReport) -> list[BoundCheck
                 odd_total <= b4.lower,
             )
         )
-        if params.max_omega <= 20:
+        if params.max_omega <= MAX_ABSOLUTE_R:
             t1 = absolute_count_bound(k, params.max_omega)
             checks.append(
                 BoundCheck(

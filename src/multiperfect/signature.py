@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from .arithmetic import (
@@ -27,6 +28,7 @@ from .arithmetic import (
     is_prime,
     nu,
     sigma,
+    sigma_prime_power,
 )
 from .classify import is_primitive
 
@@ -98,30 +100,27 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
         raise ValueError("signature requires n > 1")
     if not is_primitive(n):
         raise NotPrimitive(f"{n.value} has a unitary divisor d with d | sigma(d)")
-    alpha = Fraction(sigma(n), n.value)
-    exponent_of = dict(n.factors)
-    chain: list[int] = [n.factors[0][0]]
-    remaining = {p: e for p, e in n.factors if p != chain[0]}
+    sm = sigma(n)
+    alpha = Fraction(sm, n.value)
+    chain = [n.factors[0]]
+    remaining = dict(n.factors[1:])
+    # remaining keeps n's increasing prime order; sm is sigma of the unpeeled
+    # cofactor m, and sigma is multiplicative, so peeling p^e off m divides
+    # sigma(p^e) out of sm exactly.
+    sm //= sigma_prime_power(*chain[0])
     while remaining:
-        m = FactoredInteger.from_factors(sorted(remaining.items()))
-        sm = sigma(m)
-        nxt = None
-        for p in sorted(remaining):
-            if remaining[p] > nu(p, sm):
-                nxt = p
-                break
+        nxt = next((p for p, e in remaining.items() if e > nu(p, sm)), None)
         if nxt is None:
             # Certifies m | sigma(m), i.e. a violating unitary divisor.
-            raise NotPrimitive(
-                f"cofactor {m.value} of {n.value} divides its divisor sum"
-            )
-        chain.append(nxt)
-        del remaining[nxt]
+            m = prod(p**e for p, e in remaining.items())
+            raise NotPrimitive(f"cofactor {m} of {n.value} divides its divisor sum")
+        chain.append((nxt, remaining.pop(nxt)))
+        sm //= sigma_prime_power(*chain[-1])
     return ChainSignature(
         alpha=alpha,
-        p1=chain[0],
-        exponents=tuple(exponent_of[p] for p in chain),
-        chain_primes=tuple(chain),
+        p1=chain[0][0],
+        exponents=tuple(e for _, e in chain),
+        chain_primes=tuple(p for p, _ in chain),
     )
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from multiperfect import arithmetic
 from multiperfect.arithmetic import abundancy, factorize, nu, sigma
 from multiperfect.classify import is_primitive
 from multiperfect.search import multiperfect_scan
@@ -52,6 +53,19 @@ class TestExtract:
             sig = extract_signature(factorize(n))
             for p, e in zip(sig.chain_primes, sig.exponents):
                 assert nu(p, n) == e
+
+
+    def test_does_not_retest_primality(self, monkeypatch):
+        # each cofactor's divisor sum comes from sigma(n) by division, so no
+        # cofactor is built as a FactoredInteger with its primes re-tested
+        inputs = [factorize(n) for n in (672, 2178540, 459818240, 14182439040)]
+        expected = [extract_signature(fi) for fi in inputs]
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(arithmetic, "is_prime", refuse)
+        assert [extract_signature(fi) for fi in inputs] == expected
 
 
 class TestNextChainPrime:
