@@ -477,7 +477,7 @@ def build_parser() -> _Parser:
 
     bnd = subs.add_parser("bounds", help="tabulate the rigorous count bounds")
     bnd.add_argument("--alpha", type=_parse_alpha, required=True)
-    bnd.add_argument("--max-r", type=int, required=True)
+    bnd.add_argument("--max-r", type=_parse_positive_int, required=True)
     bnd.add_argument("--limit", type=_parse_positive_int, default=None,
                      help="evaluate (ln x) bounds at this x; default 2^(4^r)")
     bnd.add_argument("--output", choices=("json", "csv", "table"), default="table")

@@ -6,17 +6,22 @@ directly; it is the oracle. ``chain_search`` walks one tree of signature
 chains (p1, e1, ..., es) with s <= r: after the free choice of p1 and each
 exponent, the next prime is forced by the chain rule (``ChainRule``), so
 walking all exponent ladders visits every primitive alpha-perfect number
-up to the limit with at most r distinct primes.
+up to the limit with at most r distinct primes. Four exact rules cut the
+ladders without visiting children or factoring their sigma(p^e), each
+only where no solution can lie below: mandatory primes (their count and
+product), the abundancy ladder, the abundancy ceiling and the unmatched
+large prime; ``_dfs`` and ``_ladder`` carry the proofs.
 Every number either route reports is re-verified by an exact sigma
 computation on its factorization.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -41,17 +46,29 @@ from .signature import ChainRule
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 
+# The unmatched-large-prime cut trial-divides sigma(p^e) by every prime up
+# to the room a child leaves, so it runs only where that room is small.
+SMALL_ROOM = 10**4
+
+# The abundancy ceiling draws completion primes from the primes up to this
+# bound; a node that would need more of them is not cut by the ceiling.
+CEILING_SIEVE = 1 << 16
+
 PRUNE_RULES = (
     "product_exceeds_limit",
-    "abundancy_exceeded",
     "p1_bound",
     "chain_broken",
-    "depth_cap",
     "nonminimal_start",
+    "mandatory_primes",
+    "abundancy_ladder",
+    "abundancy_ceiling",
+    "unmatched_large_prime",
 )
 
 
-def _check_args(alpha: Fraction | None, limit: int, parity: str) -> None:
+def _check_args(
+    alpha: Fraction | None, limit: int, parity: str, worker_count: int
+) -> None:
     """The checks every search makes; alpha None means any integer abundancy."""
     if alpha is not None and alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -59,6 +76,8 @@ def _check_args(alpha: Fraction | None, limit: int, parity: str) -> None:
         raise ValueError("limit must be >= 1")
     if parity not in ("any", "odd_only"):
         raise ValueError(f"unknown parity {parity!r}")
+    if worker_count < 1:
+        raise ValueError("worker_count must be >= 1")
 
 
 def _map(fn, tasks: list, worker_count: int, chunksize: int) -> list:
@@ -80,11 +99,9 @@ class SearchParams:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        _check_args(self.alpha, self.limit, self.parity)
+        _check_args(self.alpha, self.limit, self.parity, self.worker_count)
         if self.max_omega < 1:
             raise ValueError("max_omega must be >= 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
     @property
     def omega_floor_pruning(self) -> bool:
@@ -185,7 +202,7 @@ def _sieve_scan(
     block_size: int,
 ) -> list[FactoredInteger]:
     """Sieve, then re-verify each candidate through sigma of its factorization."""
-    _check_args(target, limit, parity)
+    _check_args(target, limit, parity, worker_count)
     out = []
     for n in sorted(_run_blocks(limit, target, worker_count, block_size)):
         if parity == "odd_only" and n % 2 == 0:
@@ -242,6 +259,42 @@ class _ChainState:
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
 
 
+def _ceiling_steps(
+    candidates: tuple[int, ...], used: set[int], nxt: int, count: int, room: int
+) -> list[tuple[int, int]] | None:
+    """Prefix products (prod q, prod (q-1)) of the smallest free candidates.
+
+    Free means not used and not nxt. Entry k covers the k smallest, from
+    (1, 1) on; the list stops once it holds count primes or prod q exceeds
+    room. None when the candidates run out first.
+    """
+    steps = [(1, 1)]
+    qp = qm = 1
+    for q in candidates:
+        if len(steps) > count or qp > room:
+            return steps
+        if q not in used and q != nxt:
+            qp *= q
+            qm *= q - 1
+            steps.append((qp, qm))
+    return steps if len(steps) > count or qp > room else None
+
+
+def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
+    """Whether s has a prime factor above room that does not divide matched."""
+    for q in primes_upto(room):
+        if q * q > s:
+            break
+        while s % q == 0:
+            s //= q
+    # Now s is 1 or a prime, or has only primes above room.
+    if s <= room:
+        return False
+    while (g := gcd(s, matched)) > 1:
+        s //= g
+    return s > 1
+
+
 def _dfs(
     chain: list[tuple[int, int]],
     product: int,
@@ -250,54 +303,118 @@ def _dfs(
     ctx: tuple,
     state: _ChainState,
 ) -> None:
-    num, den, limit, depth_cap = ctx
+    """Visit one chain node, then the children on its next prime's ladder.
+
+    Write n = product * m, m coprime to product, for a number the subtree
+    could hold: n <= limit, omega(n) <= depth_cap, p1 is n's smallest
+    prime and sigma(n) = alpha*n. Each cut below drops a node or a child
+    only where no such n exists; its proof sits at its test.
+    """
+    num, den, limit, depth_cap, above_p1 = ctx
     state.nodes += 1
-    lhs = den * sigma_prod
-    rhs = num * product
-    if lhs == rhs:
+    # _ladder keeps no child whose abundancy exceeds alpha.
+    if den * sigma_prod == num * product:
         state.found.append((product, tuple(sorted(chain))))
         return
-    if lhs > rhs:
-        state.prunes["abundancy_exceeded"] += 1
-        return
-    nxt = rule.next_prime()
-    if nxt is None:
+    mandatory = rule.mandatory()
+    if not mandatory:
         state.prunes["chain_broken"] += 1
         return
-    if len(chain) == depth_cap:
-        state.prunes["depth_cap"] += 1
-        return
+    nxt = min(mandatory)
     if nxt < chain[0][0]:
         # The product's smallest prime would no longer be p1; the same
         # number is enumerated under the branch rooted at that smaller
         # prime, and no odd target survives a derived factor of 2.
         state.prunes["nonminimal_start"] += 1
         return
-    power = nxt
-    e = 1
-    while product * power <= limit:
+    depth = len(chain)
+    if depth + len(mandatory) > depth_cap:
+        # Every mandatory prime divides m (ChainRule.mandatory), so
+        # omega(n) >= depth + len(mandatory). This also ends the walk at
+        # depth depth_cap.
+        state.prunes["mandatory_primes"] += 1
+        return
+    # The other mandatory primes divide m too, so n >= child * rest.
+    rest = prod(mandatory) // nxt
+    free = depth_cap - depth - 1
+    for e, child, child_sigma in _ladder(
+        ctx, state.prunes, product, sigma_prod, rule.used, nxt, rest, free
+    ):
         sigma_factors = factored_sigma_prime_power(nxt, e)
         rule.add(nxt, sigma_factors)
         chain.append((nxt, e))
-        _dfs(
-            chain,
-            product * power,
-            sigma_prod * ((power * nxt - 1) // (nxt - 1)),
-            rule,
-            ctx,
-            state,
-        )
+        _dfs(chain, child, child_sigma, rule, ctx, state)
         chain.pop()
         rule.undo(nxt, sigma_factors)
+
+
+def _ladder(ctx, prunes, product, sigma_prod, used, nxt, rest, free):
+    """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
+
+    n = child * m, m coprime to child, stands for any number the child's
+    subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
+    prime, m is a multiple of rest and has at most free primes, none of
+    them used or nxt. A child, or the rest of the ladder, is cut only where
+    no such n exists, and before sigma(nxt^e) is factored.
+    """
+    num, den, limit, _, above_p1 = ctx
+    k = None
+    power = 1
+    e = 0
+    while True:
         e += 1
         power *= nxt
-    state.prunes["product_exceeds_limit"] += 1
+        child = product * power
+        if child * rest > limit:
+            # child * rest grows with e: the rest of the ladder fails too.
+            prunes["product_exceeds_limit"] += 1
+            return
+        sigma_pe = (power * nxt - 1) // (nxt - 1)
+        child_sigma = sigma_prod * sigma_pe
+        lhs = den * child_sigma
+        rhs = num * child
+        if lhs > rhs:
+            # sigma(p^e)/p^e grows with e, and m only multiplies the
+            # abundancy by sigma(m)/m >= 1: every larger e overshoots too.
+            prunes["abundancy_ladder"] += 1
+            return
+        if lhs < rhs:
+            room = limit // child
+            if k is None:
+                # Built at the first child that needs it, whose room is the
+                # largest left on the ladder; used is the node's set again
+                # whenever the ladder resumes.
+                steps = _ceiling_steps(above_p1, used, nxt, free, room)
+                k = len(steps) - 1 if steps else 0
+            if steps is not None:
+                # m > 1 has at most `free` primes, each above p1 and neither
+                # used nor nxt, with product <= room. sigma(m)/m < prod
+                # q/(q-1) over them, and no more than over the k smallest
+                # such primes whose product fits in room.
+                while steps[k][0] > room:
+                    k -= 1
+                if lhs * steps[k][0] <= rhs * steps[k][1]:
+                    prunes["abundancy_ceiling"] += 1
+                    continue
+            if room <= SMALL_ROOM and _has_unmatched_prime(sigma_pe, rhs, room):
+                # Each prime of sigma(nxt^e) divides alpha*n; one that
+                # divides neither num nor child must divide m <= room.
+                prunes["unmatched_large_prime"] += 1
+                continue
+        yield e, child, child_sigma
+
+
+def _walk_context(alpha: Fraction, limit: int, depth_cap: int, p1: int) -> tuple:
+    """(num, den, limit, depth_cap, the sieved primes above p1) for a walk."""
+    primes = primes_upto(CEILING_SIEVE)
+    above_p1 = primes[bisect_right(primes, p1) :]
+    return alpha.numerator, alpha.denominator, limit, depth_cap, above_p1
 
 
 def _chain_task(args):
     alpha, empty_rule, limit, depth_cap, p1, e1 = args
     state = _ChainState()
-    ctx = (alpha.numerator, alpha.denominator, limit, depth_cap)
+    ctx = _walk_context(alpha, limit, depth_cap, p1)
     incomplete: list[str] = []
     rule = empty_rule.fresh()
     try:
@@ -341,13 +458,10 @@ def chain_search(params: SearchParams) -> SearchReport:
     empty_rule = ChainRule(alpha)
     tasks = []
     for p1 in starts:
-        power = p1
-        e1 = 1
-        while power <= params.limit:
+        # Each root p1^e1 is a child of the empty chain, cut by the same rules.
+        ctx = _walk_context(alpha, params.limit, params.max_omega, p1)
+        for e1, _, _ in _ladder(ctx, prunes, 1, 1, set(), p1, 1, params.max_omega - 1):
             tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
-            e1 += 1
-            power *= p1
-        prunes["product_exceeds_limit"] += 1
 
     results = _map(_chain_task, tasks, params.worker_count, 8)
 

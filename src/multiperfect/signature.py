@@ -168,23 +168,26 @@ class ChainRule:
             else:
                 del self.sigma_exp[q]
 
-    def next_prime(self) -> Optional[int]:
-        """Smallest unused prime p with nu_p(S) > nu_p(alpha), or None.
+    def mandatory(self) -> list[int]:
+        """Every unused prime q with nu_q(S) > nu_q(alpha), in no set order.
 
-        Only primes dividing S or alpha's denominator can qualify; for all
-        others the left side is 0 and the right side is >= 0. A
+        Each one divides every n = chain * m (m coprime to the chain) with
+        sigma(n) = alpha*n: comparing q-valuations of sigma(chain)*sigma(m)
+        = alpha*chain*m gives nu_q(m) = nu_q(S) - nu_q(alpha) + nu_q(sigma(m))
+        > 0. Only primes dividing S or alpha's denominator can qualify; for
+        all others the left side is 0 and the right side is >= 0. A
         denominator prime always qualifies, its right side being negative.
         """
-        used, nu_alpha = self.used, self.nu_alpha
-        best = None
-        for p, k in self.sigma_exp.items():
-            if k > nu_alpha.get(p, 0) and p not in used:
-                if best is None or p < best:
-                    best = p
-        for p in self.den_primes:
-            if p not in used and (best is None or p < best):
-                best = p
-        return best
+        used, nu_alpha, sigma_exp = self.used, self.nu_alpha, self.sigma_exp
+        out = [
+            p for p, k in sigma_exp.items() if k > nu_alpha.get(p, 0) and p not in used
+        ]
+        out += [p for p in self.den_primes if p not in used and p not in sigma_exp]
+        return out
+
+    def next_prime(self) -> Optional[int]:
+        """Smallest unused prime p with nu_p(S) > nu_p(alpha), or None."""
+        return min(self.mandatory(), default=None)
 
 
 def next_chain_prime(

@@ -230,6 +230,13 @@ class TestBoundsCommand:
                 continue
             assert int(Decimal(value)) == 2 * 4**8000
 
+    @pytest.mark.parametrize("max_r", ["0", "-1"])
+    def test_max_r_must_be_positive(self, capsys, max_r):
+        code, out, err = run_cli(capsys, "bounds", "--alpha", "2", "--max-r", max_r)
+        assert code == 1
+        assert out == ""
+        assert "--max-r" in err
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--alpha", "2", "--max-r", "2", "--output", "csv"

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiperfect.search as search
 from multiperfect.arithmetic import (
@@ -74,6 +76,11 @@ class TestBruteScan:
         parallel = brute_scan(Fraction(3), 10**6, worker_count=4, block_size=1 << 16)
         assert [f.value for f in serial] == [f.value for f in parallel]
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_worker_count_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="worker_count must be >= 1"):
+            brute_scan(Fraction(2), 10**4, worker_count=workers)
+
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             brute_scan(Fraction(2**62, 3), 10**6)
@@ -99,6 +106,11 @@ class TestMultiperfectScan:
             if sigma_naive(n) % n == 0 and sigma_naive(n) >= 2 * n
         ]
         assert [f.value for f in multiperfect_scan(10**4)] == naive
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_worker_count_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="worker_count must be >= 1"):
+            multiperfect_scan(10**4, worker_count=workers)
 
 
 class TestChainSearch:
@@ -174,6 +186,23 @@ class TestChainSearch:
     )
     def test_known_answers_beyond_the_sieve(self, alpha, limit, r, expected):
         report = chain_search(SearchParams(Fraction(alpha), r, limit))
+        assert [f.number.value for f in report.found] == expected
+        assert report.exhaustive
+
+    @pytest.mark.parametrize(
+        "alpha,limit,expected",
+        [
+            # the smallest 6-perfect number, alone below 10^21
+            (6, 10**21, [154345556085770649600]),
+            # OEIS A005820, the six known triperfect numbers
+            (3, 10**30, TRIPERFECT_ALL),
+        ],
+        ids=["smallest-6-perfect", "A005820"],
+    )
+    def test_known_answers_at_twenty_primes(self, alpha, limit, expected):
+        for n in expected:
+            assert sigma(factorize(n)) == alpha * n
+        report = chain_search(SearchParams(Fraction(alpha), 20, limit))
         assert [f.number.value for f in report.found] == expected
         assert report.exhaustive
 
@@ -280,6 +309,93 @@ class TestChainRule:
         rule.add(11, factors)
         rule.undo(11, factors)
         assert (rule.sigma_exp, rule.used, rule.next_prime()) == before
+
+
+@st.composite
+def small_searches(draw):
+    """(alpha, limit, r, parity) around a solution n0 <= limit <= 10^6.
+
+    alpha is n0's abundancy and r is omega(n0) or a little more, so the
+    walk's cuts meet a subtree that holds a solution with few primes to
+    spare.
+    """
+    n0 = draw(st.integers(2, 10**5))
+    f = factorize(n0)
+    alpha = Fraction(sigma(f), n0)
+    r = f.omega + draw(st.integers(0, 2))
+    limit = draw(st.integers(n0, 10**6))
+    parity = draw(st.sampled_from(["any", "odd_only"]))
+    return alpha, limit, r, parity
+
+
+class TestPruneExactness:
+    """Every node or child the walk's cuts drop holds no solution.
+
+    A child c = product * nxt^e with c <= limit that the ladder does not
+    yield was cut by a rule, and so was a node left by the mandatory-prime
+    count. Neither may be a unitary divisor of an n <= limit, with omega(n)
+    <= r and p1 as its smallest prime, that the sieve finds.
+    """
+
+    @staticmethod
+    def cut_subtrees(params, monkeypatch):
+        cuts = []
+        ladder, walk = search._ladder, search._dfs
+        limit = params.limit
+
+        def recording_ladder(ctx, prunes, product, sigma_prod, used, nxt, *rest):
+            kept = set()
+            for item in ladder(ctx, prunes, product, sigma_prod, used, nxt, *rest):
+                kept.add(item[0])
+                yield item
+            p1 = nxt if product == 1 else factorize(product).factors[0][0]
+            e, power = 1, nxt
+            while product * power <= limit:
+                if e not in kept:
+                    cuts.append((product * power, p1))
+                e, power = e + 1, power * nxt
+
+        def recording_walk(chain, product, sigma_prod, rule, ctx, state):
+            nodes, count = state.nodes, state.prunes["mandatory_primes"]
+            walk(chain, product, sigma_prod, rule, ctx, state)
+            if (state.nodes, state.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
+                cuts.append((product, chain[0][0]))
+
+        monkeypatch.setattr(search, "_ladder", recording_ladder)
+        monkeypatch.setattr(search, "_dfs", recording_walk)
+        report = chain_search(params)
+        monkeypatch.undo()
+        return cuts, report
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_searches())
+    def test_no_cut_subtree_holds_a_solution(self, search_args):
+        alpha, limit, r, parity = search_args
+        params = SearchParams(alpha, r, limit, parity)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cuts, report = self.cut_subtrees(params, monkeypatch)
+        assert report.exhaustive
+        solutions = [
+            (n.value, n.factors[0][0])
+            for n in brute_scan(alpha, limit, parity)
+            if n.omega <= r
+        ]
+        for c, p1 in cuts:
+            for n, smallest in solutions:
+                assert not (
+                    smallest == p1 and n % c == 0 and gcd(c, n // c) == 1
+                ), (c, n)
+
+    def test_every_rule_cuts_something(self, monkeypatch):
+        rules = ("mandatory_primes", "abundancy_ladder", "abundancy_ceiling",
+                 "unmatched_large_prime")
+        fired = dict.fromkeys(rules, 0)
+        for alpha, r in [(Fraction(3), 3), (Fraction(9, 5), 2)]:
+            cuts, report = self.cut_subtrees(SearchParams(alpha, r, 10**6), monkeypatch)
+            assert len(cuts) >= sum(report.pruned_by[rule] for rule in rules) > 0
+            for rule in rules:
+                fired[rule] += report.pruned_by[rule]
+        assert all(fired.values()), fired
 
 
 class TestVerifyCounts:
