@@ -413,11 +413,10 @@ def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
 
     sigma(p^e) = prod of Phi_d(p) over the divisors d > 1 of e + 1, and
     each cyclotomic piece is factored on its own. A prime factor of
-    Phi_d(p) divides d or is 1 mod d, so for d > 2, once the primes of d
-    are divided out, trial division needs only the primes q = 1 (mod k)
-    and rho iterates x^k + c, with k = d for even d and k = 2d for odd d
-    (odd q = 1 mod d is then 1 mod 2d). Pieces with d <= 2 take the
-    generic path of ``factorize``. One rho budget of DEFAULT_RHO_BUDGET
+    Phi_d(p) divides d or is 1 mod d, so once the primes of d are divided
+    out, trial division needs only the primes q = 1 (mod k) and rho
+    iterates x^k + c, with k = d for even d and k = 2d for odd d (odd
+    q = 1 mod d is then 1 mod 2d). One rho budget of DEFAULT_RHO_BUDGET
     x^2 + c steps covers all pieces, each step charged by its cost in such
     steps, so a budget hit takes no longer than on the unsplit value.
     Exponents are merged across pieces: a prime of e + 1 can divide two.
@@ -426,15 +425,11 @@ def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
     found: dict[int, int] = {}
     budget = DEFAULT_RHO_BUDGET
     for d, piece in _cyclotomic_pieces(p, e + 1):
-        if d <= 2:
-            k, trial_primes = 2, _generic_trial_primes(piece)
-        else:
-            for q in primes_upto(d):
-                if d % q == 0:
-                    while piece % q == 0:
-                        found[q] = found.get(q, 0) + 1
-                        piece //= q
-            k = d if d % 2 == 0 else 2 * d
-            trial_primes = _primes_one_mod(k)
-        budget = _split_into(piece, found, budget, trial_primes, k, value)
+        for q in primes_upto(d):
+            if d % q == 0:
+                while piece % q == 0:
+                    found[q] = found.get(q, 0) + 1
+                    piece //= q
+        k = d if d % 2 == 0 else 2 * d
+        budget = _split_into(piece, found, budget, _primes_one_mod(k), k, value)
     return FactoredInteger(value, tuple(sorted(found.items()))).factors

@@ -178,6 +178,15 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _search_exit(args, report) -> int:
+    """0 for an exhaustive search; else 2, after naming the cut branches."""
+    if report.exhaustive:
+        return 0
+    _diag(args, f"{args.command}: NON-EXHAUSTIVE, factorization budget hit on: "
+          + "; ".join(report.incomplete_branches))
+    return 2
+
+
 def _cmd_chain_search(args) -> int:
     report = chain_search(_search_params(args))
     pairs = [(f.number, f.primitive) for f in report.found]
@@ -188,11 +197,7 @@ def _cmd_chain_search(args) -> int:
         f"chain-search: {len(pairs)} found, {report.nodes_explored} states"
         f" explored, prunes: {prune_text or 'none'}",
     )
-    if not report.exhaustive:
-        _diag(args, "chain-search: NON-EXHAUSTIVE, factorization budget hit on: "
-              + "; ".join(report.incomplete_branches))
-        return 2
-    return 0
+    return _search_exit(args, report)
 
 
 def _cmd_classify(args) -> int:
@@ -410,31 +415,26 @@ def _cmd_verify(args) -> int:
         ],
     }
     print(_json(summary))
-    if not report.exhaustive:
-        return 2
-    return 0
+    return _search_exit(args, report)
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, limit=True, omega=False, parity=True, jobs=True):
+def _add_common(sub, *, omega=False, outputs=("json", "csv", "table")):
     sub.add_argument("--alpha", type=_parse_alpha, required=True,
                      help="target abundancy, e.g. 3 or 3/2")
-    if limit:
-        sub.add_argument("--limit", type=_parse_positive_int, required=True,
-                         help="search bound x as a plain decimal string")
+    sub.add_argument("--limit", type=_parse_positive_int, required=True,
+                     help="search bound x as a plain decimal string")
     if omega:
-        sub.add_argument("--max-omega", type=int, required=True,
+        sub.add_argument("--max-omega", type=_parse_positive_int, required=True,
                          help="largest distinct-prime count r to search")
-    if parity:
-        sub.add_argument("--odd-only", action="store_true",
-                         help="restrict to odd numbers")
-    if jobs:
-        sub.add_argument("--jobs", type=_parse_positive_int, default=None,
-                         help="worker processes (default: MPS_JOBS or all cores)")
-    sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
+    sub.add_argument("--odd-only", action="store_true",
+                     help="restrict to odd numbers")
+    sub.add_argument("--jobs", type=_parse_positive_int, default=None,
+                     help="worker processes (default: MPS_JOBS or all cores)")
+    sub.add_argument("--output", choices=outputs, default="json")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress diagnostics on stderr")
 
@@ -484,7 +484,7 @@ def build_parser() -> _Parser:
     bnd.set_defaults(func=_cmd_bounds)
 
     ver = subs.add_parser("verify", help="oracle scan vs chain search, with bounds")
-    _add_common(ver, omega=True)
+    _add_common(ver, omega=True, outputs=("json",))
     ver.set_defaults(func=_cmd_verify)
 
     return parser

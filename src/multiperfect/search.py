@@ -10,7 +10,7 @@ up to the limit with at most r distinct primes. Four exact rules cut the
 ladders without visiting children or factoring their sigma(p^e), each
 only where no solution can lie below: mandatory primes (their count and
 product), the abundancy ladder, the abundancy ceiling and the unmatched
-large prime; ``_dfs`` and ``_ladder`` carry the proofs.
+large prime; the walker ``_Walk`` carries the proofs.
 Every number either route reports is re-verified by an exact sigma
 computation on its factorization.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -34,6 +34,7 @@ from .arithmetic import (
     prime_count_upto,
     primes_upto,
     sigma,
+    sigma_prime_power,
 )
 from .bounds import (
     MAX_ABSOLUTE_R,
@@ -134,7 +135,6 @@ class SearchReport:
     count_by_omega: dict[int, int]
     nodes_explored: int
     pruned_by: dict[str, int]
-    bound_checks: list[BoundCheck] = field(default_factory=list)
     exhaustive: bool = True
     incomplete_branches: tuple[str, ...] = ()
 
@@ -250,15 +250,6 @@ def _p1_cap(alpha: Fraction, s: int) -> int:
     return v.numerator // v.denominator
 
 
-class _ChainState:
-    __slots__ = ("found", "nodes", "prunes")
-
-    def __init__(self):
-        self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        self.nodes = 0
-        self.prunes = dict.fromkeys(PRUNE_RULES, 0)
-
-
 def _ceiling_steps(
     candidates: tuple[int, ...], used: set[int], nxt: int, count: int, room: int
 ) -> list[tuple[int, int]] | None:
@@ -295,143 +286,142 @@ def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     return s > 1
 
 
-def _dfs(
-    chain: list[tuple[int, int]],
-    product: int,
-    sigma_prod: int,
-    rule: ChainRule,
-    ctx: tuple,
-    state: _ChainState,
-) -> None:
-    """Visit one chain node, then the children on its next prime's ladder.
+class _Walk:
+    """One walk from a root p1: its constants, chain rule and counters.
 
-    Write n = product * m, m coprime to product, for a number the subtree
-    could hold: n <= limit, omega(n) <= depth_cap, p1 is n's smallest
-    prime and sigma(n) = alpha*n. Each cut below drops a node or a child
-    only where no such n exists; its proof sits at its test.
+    Write n = product * m, m coprime to product, for a number a node's
+    subtree could hold: n <= limit, omega(n) <= depth_cap, p1 is n's
+    smallest prime and sigma(n) = alpha*n. Each cut below drops a node or a
+    child only where no such n exists; its proof sits at its test.
     """
-    num, den, limit, depth_cap, above_p1 = ctx
-    state.nodes += 1
-    # _ladder keeps no child whose abundancy exceeds alpha.
-    if den * sigma_prod == num * product:
-        state.found.append((product, tuple(sorted(chain))))
-        return
-    mandatory = rule.mandatory()
-    if not mandatory:
-        state.prunes["chain_broken"] += 1
-        return
-    nxt = min(mandatory)
-    if nxt < chain[0][0]:
-        # The product's smallest prime would no longer be p1; the same
-        # number is enumerated under the branch rooted at that smaller
-        # prime, and no odd target survives a derived factor of 2.
-        state.prunes["nonminimal_start"] += 1
-        return
-    depth = len(chain)
-    if depth + len(mandatory) > depth_cap:
-        # Every mandatory prime divides m (ChainRule.mandatory), so
-        # omega(n) >= depth + len(mandatory). This also ends the walk at
-        # depth depth_cap.
-        state.prunes["mandatory_primes"] += 1
-        return
-    # The other mandatory primes divide m too, so n >= child * rest.
-    rest = prod(mandatory) // nxt
-    free = depth_cap - depth - 1
-    for e, child, child_sigma in _ladder(
-        ctx, state.prunes, product, sigma_prod, rule.used, nxt, rest, free
+
+    __slots__ = (
+        "num", "den", "limit", "depth_cap", "p1", "above_p1", "rule",
+        "found", "nodes", "prunes",
+    )
+
+    def __init__(
+        self, alpha: Fraction, rule: ChainRule, limit: int, depth_cap: int, p1: int
     ):
-        sigma_factors = factored_sigma_prime_power(nxt, e)
-        rule.add(nxt, sigma_factors)
-        chain.append((nxt, e))
-        _dfs(chain, child, child_sigma, rule, ctx, state)
+        self.num, self.den = alpha.numerator, alpha.denominator
+        self.limit = limit
+        self.depth_cap = depth_cap
+        self.p1 = p1
+        primes = primes_upto(CEILING_SIEVE)
+        self.above_p1 = primes[bisect_right(primes, p1) :]
+        self.rule = rule
+        self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        self.nodes = 0
+        self.prunes = dict.fromkeys(PRUNE_RULES, 0)
+
+    def descend(self, chain: list, p: int, e: int, product: int, sigma_prod: int):
+        """Visit the child chain + [(p, e)] of the given product and sigma."""
+        sigma_factors = factored_sigma_prime_power(p, e)
+        self.rule.add(p, sigma_factors)
+        chain.append((p, e))
+        self.visit(chain, product, sigma_prod)
         chain.pop()
-        rule.undo(nxt, sigma_factors)
+        self.rule.undo(p, sigma_factors)
 
-
-def _ladder(ctx, prunes, product, sigma_prod, used, nxt, rest, free):
-    """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
-
-    n = child * m, m coprime to child, stands for any number the child's
-    subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
-    prime, m is a multiple of rest and has at most free primes, none of
-    them used or nxt. A child, or the rest of the ladder, is cut only where
-    no such n exists, and before sigma(nxt^e) is factored.
-    """
-    num, den, limit, _, above_p1 = ctx
-    k = None
-    power = 1
-    e = 0
-    while True:
-        e += 1
-        power *= nxt
-        child = product * power
-        if child * rest > limit:
-            # child * rest grows with e: the rest of the ladder fails too.
-            prunes["product_exceeds_limit"] += 1
+    def visit(self, chain: list, product: int, sigma_prod: int) -> None:
+        """Visit one chain node, then the children on its next prime's ladder."""
+        self.nodes += 1
+        # The ladder keeps no child whose abundancy exceeds alpha.
+        if self.den * sigma_prod == self.num * product:
+            self.found.append((product, tuple(sorted(chain))))
             return
-        sigma_pe = (power * nxt - 1) // (nxt - 1)
-        child_sigma = sigma_prod * sigma_pe
-        lhs = den * child_sigma
-        rhs = num * child
-        if lhs > rhs:
-            # sigma(p^e)/p^e grows with e, and m only multiplies the
-            # abundancy by sigma(m)/m >= 1: every larger e overshoots too.
-            prunes["abundancy_ladder"] += 1
+        mandatory = self.rule.mandatory()
+        if not mandatory:
+            self.prunes["chain_broken"] += 1
             return
-        if lhs < rhs:
-            room = limit // child
-            if k is None:
-                # Built at the first child that needs it, whose room is the
-                # largest left on the ladder; used is the node's set again
-                # whenever the ladder resumes.
-                steps = _ceiling_steps(above_p1, used, nxt, free, room)
-                k = len(steps) - 1 if steps else 0
-            if steps is not None:
-                # m > 1 has at most `free` primes, each above p1 and neither
-                # used nor nxt, with product <= room. sigma(m)/m < prod
-                # q/(q-1) over them, and no more than over the k smallest
-                # such primes whose product fits in room.
-                while steps[k][0] > room:
-                    k -= 1
-                if lhs * steps[k][0] <= rhs * steps[k][1]:
-                    prunes["abundancy_ceiling"] += 1
+        nxt = min(mandatory)
+        if nxt < self.p1:
+            # The product's smallest prime would no longer be p1; the same
+            # number is enumerated under the branch rooted at that smaller
+            # prime, and no odd target survives a derived factor of 2.
+            self.prunes["nonminimal_start"] += 1
+            return
+        depth = len(chain)
+        if depth + len(mandatory) > self.depth_cap:
+            # Every mandatory prime divides m (ChainRule.mandatory), so
+            # omega(n) >= depth + len(mandatory). This also ends the walk at
+            # depth depth_cap.
+            self.prunes["mandatory_primes"] += 1
+            return
+        # The other mandatory primes divide m too, so n >= child * rest.
+        rest = prod(mandatory) // nxt
+        free = self.depth_cap - depth - 1
+        for e, child, child_sigma in self.ladder(product, sigma_prod, nxt, rest, free):
+            self.descend(chain, nxt, e, child, child_sigma)
+
+    def ladder(self, product: int, sigma_prod: int, nxt: int, rest: int, free: int):
+        """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
+
+        n = child * m, m coprime to child, stands for any number the child's
+        subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
+        prime, m is a multiple of rest and has at most free primes, none of
+        them used or nxt. A child, or the rest of the ladder, is cut only where
+        no such n exists, and before sigma(nxt^e) is factored.
+        """
+        num, den, limit, prunes = self.num, self.den, self.limit, self.prunes
+        used = self.rule.used
+        k = None
+        power = 1
+        e = 0
+        while True:
+            e += 1
+            power *= nxt
+            child = product * power
+            if child * rest > limit:
+                # child * rest grows with e: the rest of the ladder fails too.
+                prunes["product_exceeds_limit"] += 1
+                return
+            sigma_pe = (power * nxt - 1) // (nxt - 1)
+            child_sigma = sigma_prod * sigma_pe
+            lhs = den * child_sigma
+            rhs = num * child
+            if lhs > rhs:
+                # sigma(p^e)/p^e grows with e, and m only multiplies the
+                # abundancy by sigma(m)/m >= 1: every larger e overshoots too.
+                prunes["abundancy_ladder"] += 1
+                return
+            if lhs < rhs:
+                room = limit // child
+                if k is None:
+                    # Built at the first child that needs it, whose room is the
+                    # largest left on the ladder; used is the node's set again
+                    # whenever the ladder resumes.
+                    steps = _ceiling_steps(self.above_p1, used, nxt, free, room)
+                    k = len(steps) - 1 if steps else 0
+                if steps is not None:
+                    # m > 1 has at most `free` primes, each above p1 and neither
+                    # used nor nxt, with product <= room. sigma(m)/m < prod
+                    # q/(q-1) over them, and no more than over the k smallest
+                    # such primes whose product fits in room.
+                    while steps[k][0] > room:
+                        k -= 1
+                    if lhs * steps[k][0] <= rhs * steps[k][1]:
+                        prunes["abundancy_ceiling"] += 1
+                        continue
+                if room <= SMALL_ROOM and _has_unmatched_prime(sigma_pe, rhs, room):
+                    # Each prime of sigma(nxt^e) divides alpha*n; one that
+                    # divides neither num nor child must divide m <= room.
+                    prunes["unmatched_large_prime"] += 1
                     continue
-            if room <= SMALL_ROOM and _has_unmatched_prime(sigma_pe, rhs, room):
-                # Each prime of sigma(nxt^e) divides alpha*n; one that
-                # divides neither num nor child must divide m <= room.
-                prunes["unmatched_large_prime"] += 1
-                continue
-        yield e, child, child_sigma
-
-
-def _walk_context(alpha: Fraction, limit: int, depth_cap: int, p1: int) -> tuple:
-    """(num, den, limit, depth_cap, the sieved primes above p1) for a walk."""
-    primes = primes_upto(CEILING_SIEVE)
-    above_p1 = primes[bisect_right(primes, p1) :]
-    return alpha.numerator, alpha.denominator, limit, depth_cap, above_p1
+            yield e, child, child_sigma
 
 
 def _chain_task(args):
     alpha, empty_rule, limit, depth_cap, p1, e1 = args
-    state = _ChainState()
-    ctx = _walk_context(alpha, limit, depth_cap, p1)
+    walk = _Walk(alpha, empty_rule.fresh(), limit, depth_cap, p1)
     incomplete: list[str] = []
-    rule = empty_rule.fresh()
     try:
-        rule.add(p1, factored_sigma_prime_power(p1, e1))
-        _dfs(
-            [(p1, e1)],
-            p1**e1,
-            (p1 ** (e1 + 1) - 1) // (p1 - 1),
-            rule,
-            ctx,
-            state,
-        )
+        walk.descend([], p1, e1, p1**e1, sigma_prime_power(p1, e1))
     except FactorizationExhausted as exc:
         incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
         incomplete.append(f"p1={p1} e1={e1}: recursion limit")
-    return state.found, state.nodes, state.prunes, incomplete
+    return walk.found, walk.nodes, walk.prunes, incomplete
 
 
 def chain_search(params: SearchParams) -> SearchReport:
@@ -448,23 +438,25 @@ def chain_search(params: SearchParams) -> SearchReport:
     """
     alpha = params.alpha
     num, den = alpha.numerator, alpha.denominator
-    prunes = dict.fromkeys(PRUNE_RULES, 0)
 
     starts = [] if params.parity == "odd_only" else [2]
     starts += [p for p in primes_upto(_p1_cap(alpha, params.max_omega)) if p > 2]
+    empty_rule = ChainRule(alpha)
+    tasks = []
+    results = []
+    for p1 in starts:
+        # Each root p1^e1 is a child of the empty chain, cut by the same rules.
+        root = _Walk(alpha, empty_rule, params.limit, params.max_omega, p1)
+        for e1, _, _ in root.ladder(1, 1, p1, 1, params.max_omega - 1):
+            tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
+        results.append((root.found, root.nodes, root.prunes, []))
+
+    results += _map(_chain_task, tasks, params.worker_count, 8)
+
+    prunes = dict.fromkeys(PRUNE_RULES, 0)
     # The cap cuts the ladder of odd p1 once, as the limit cuts each
     # exponent ladder once.
     prunes["p1_bound"] += 1
-    empty_rule = ChainRule(alpha)
-    tasks = []
-    for p1 in starts:
-        # Each root p1^e1 is a child of the empty chain, cut by the same rules.
-        ctx = _walk_context(alpha, params.limit, params.max_omega, p1)
-        for e1, _, _ in _ladder(ctx, prunes, 1, 1, set(), p1, 1, params.max_omega - 1):
-            tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
-
-    results = _map(_chain_task, tasks, params.worker_count, 8)
-
     nodes = 0
     incomplete: list[str] = []
     by_value: dict[int, tuple[tuple[int, int], ...]] = {}

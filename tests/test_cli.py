@@ -98,12 +98,15 @@ class TestChainSearchCommand:
             return original(p, e)
 
         monkeypatch.setattr(search, "factored_sigma_prime_power", flaky)
-        code, _, err = run_cli(
-            capsys, "chain-search", "--alpha", "3", "--limit", "1000000",
-            "--max-omega", "6", "--jobs", "1",
-        )
-        assert code == 2
-        assert "NON-EXHAUSTIVE" in err
+        for command in ("chain-search", "verify"):
+            argv = [command, "--alpha", "3", "--limit", "1000000",
+                    "--max-omega", "6", "--jobs", "1"]
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "NON-EXHAUSTIVE" in err
+            code, _, err = run_cli(capsys, *argv, "--quiet")
+            assert code == 2
+            assert err == ""
 
 
 class TestSignatureCommands:
@@ -262,6 +265,16 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in payload["bound_checks"])
         assert payload["nodes_explored"] > 0
 
+    @pytest.mark.parametrize("output", ["table", "csv"])
+    def test_output_is_json_only(self, capsys, output):
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", "3", "--limit", "1000",
+            "--max-omega", "4", "--jobs", "1", "--output", output,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--output" in err
+
 
 class TestArgumentErrors:
     def test_bad_alpha_names_token(self, capsys):
@@ -306,6 +319,17 @@ class TestJobsResolution:
         assert code == 1
         assert out == ""
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("value", ["0", "1_0", " +3"])
+    @pytest.mark.parametrize("command", ["chain-search", "verify"])
+    def test_max_omega_must_be_plain_positive(self, capsys, command, value):
+        code, out, err = run_cli(
+            capsys, command, "--alpha", "2", "--limit", "1000", "--max-omega", value,
+            "--jobs", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--max-omega" in err
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_bad_env_jobs_rejected(self, capsys, monkeypatch, value):

@@ -181,10 +181,14 @@ class TestChainSearch:
             (3, 10**11, 12, TRIPERFECT_ALL),
             # OEIS A027687, its first 12 terms (all below 10^12)
             (4, 10**12, 12, QUADPERFECT_FIRST_12),
+            # the two smallest 5-perfect numbers, alone below 10^11
+            (5, 10**11, 12, [14182439040, 31998395520]),
         ],
-        ids=["A000396", "A005820", "A027687"],
+        ids=["A000396", "A005820", "A027687", "two-smallest-5-perfect"],
     )
     def test_known_answers_beyond_the_sieve(self, alpha, limit, r, expected):
+        for n in expected:
+            assert sigma(factorize(n)) == alpha * n
         report = chain_search(SearchParams(Fraction(alpha), r, limit))
         assert [f.number.value for f in report.found] == expected
         assert report.exhaustive
@@ -285,19 +289,20 @@ class TestChainRule:
     def test_matches_direct_definition_on_every_walked_prefix(
         self, alpha, limit, monkeypatch
     ):
-        walk = search._dfs
+        visit = search._Walk.visit
         prefixes = []
 
-        def checked(chain, product, sigma_prod, rule, *rest):
+        def checked(walk, chain, product, sigma_prod):
+            rule = walk.rule
             before = (dict(rule.sigma_exp), set(rule.used))
             assert rule.used == {p for p, _ in chain}
             assert rule.next_prime() == direct_next_prime(alpha, chain), chain
             prefixes.append(tuple(chain))
-            walk(chain, product, sigma_prod, rule, *rest)
+            visit(walk, chain, product, sigma_prod)
             # every child added below this node has been undone exactly
             assert (rule.sigma_exp, rule.used) == before, chain
 
-        monkeypatch.setattr(search, "_dfs", checked)
+        monkeypatch.setattr(search._Walk, "visit", checked)
         report = chain_search(SearchParams(alpha, 12, limit))
         assert len(set(prefixes)) == len(prefixes) == report.nodes_explored
 
@@ -340,29 +345,28 @@ class TestPruneExactness:
     @staticmethod
     def cut_subtrees(params, monkeypatch):
         cuts = []
-        ladder, walk = search._ladder, search._dfs
+        ladder, visit = search._Walk.ladder, search._Walk.visit
         limit = params.limit
 
-        def recording_ladder(ctx, prunes, product, sigma_prod, used, nxt, *rest):
+        def recording_ladder(walk, product, sigma_prod, nxt, *rest):
             kept = set()
-            for item in ladder(ctx, prunes, product, sigma_prod, used, nxt, *rest):
+            for item in ladder(walk, product, sigma_prod, nxt, *rest):
                 kept.add(item[0])
                 yield item
-            p1 = nxt if product == 1 else factorize(product).factors[0][0]
             e, power = 1, nxt
             while product * power <= limit:
                 if e not in kept:
-                    cuts.append((product * power, p1))
+                    cuts.append((product * power, walk.p1))
                 e, power = e + 1, power * nxt
 
-        def recording_walk(chain, product, sigma_prod, rule, ctx, state):
-            nodes, count = state.nodes, state.prunes["mandatory_primes"]
-            walk(chain, product, sigma_prod, rule, ctx, state)
-            if (state.nodes, state.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
-                cuts.append((product, chain[0][0]))
+        def recording_visit(walk, chain, product, sigma_prod):
+            nodes, count = walk.nodes, walk.prunes["mandatory_primes"]
+            visit(walk, chain, product, sigma_prod)
+            if (walk.nodes, walk.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
+                cuts.append((product, walk.p1))
 
-        monkeypatch.setattr(search, "_ladder", recording_ladder)
-        monkeypatch.setattr(search, "_dfs", recording_walk)
+        monkeypatch.setattr(search._Walk, "ladder", recording_ladder)
+        monkeypatch.setattr(search._Walk, "visit", recording_visit)
         report = chain_search(params)
         monkeypatch.undo()
         return cuts, report
