@@ -313,7 +313,7 @@ def _generic_trial_primes(n: int) -> tuple[int, ...]:
     return primes_upto(min(TRIAL_DIVISION_LIMIT, isqrt(n) + 1))
 
 
-def factorize(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> FactoredInteger:
+def factorize(n: int) -> FactoredInteger:
     """Factor n >= 1 into a FactoredInteger.
 
     Trial division by sieved primes handles small factors; remaining
@@ -325,7 +325,7 @@ def factorize(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> FactoredIntege
         raise ValueError(f"cannot factor {n}; expected n >= 1")
     found: dict[int, int] = {}
     if n > 1:
-        _split_into(n, found, rho_budget, _generic_trial_primes(n), 2, n)
+        _split_into(n, found, DEFAULT_RHO_BUDGET, _generic_trial_primes(n), 2, n)
     return FactoredInteger(n, tuple(sorted(found.items())))
 
 

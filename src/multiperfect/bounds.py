@@ -260,9 +260,7 @@ def bound_chain_check(k: int, r: int) -> list[tuple[str, bool]]:
 
     ln2 = _rigorous(lambda: iv.log(iv.mpf(2)))
     lnx = _rigorous(lambda: _log_limit(r, None))
-    lhs = _rigorous(
-        lambda: iv.mpf(k) * iv.exp(iv.log(_log_limit(r, None)) * _iv_number(q))
-    )
+    lhs = multiperfect_count_bound(k, r, None)
     if mid_expo.denominator == 1:
         mid_ok = lhs.strictly_below(k * 4 ** int(mid_expo)) and (
             k * 4 ** int(mid_expo) <= final

@@ -15,18 +15,11 @@ import os
 import re
 import sys
 import traceback
-from decimal import Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
 from .arithmetic import FactorizationExhausted, FactoredInteger, factorize
-from .bounds import (
-    MAX_ABSOLUTE_R,
-    absolute_count_bound,
-    bound_chain_check,
-    count_coefficient,
-    multiperfect_count_bound,
-    primitive_count_bound,
-)
+from .bounds import bound_report
 from .classify import classify, is_primitive, primitive_decomposition
 from .search import (
     SearchParams,
@@ -37,6 +30,8 @@ from .search import (
 from .signature import EmptyChain, NotPrimitive, extract_signature, reconstruct
 
 PROG = "mps"
+
+_CEILING_16 = Context(prec=16, rounding=ROUND_CEILING)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +66,18 @@ def _parse_positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"value must be positive, got {text!r}")
     return value
+
+
+def _parse_exponents(text: str) -> list[int]:
+    exponents = []
+    for token in text.split(","):
+        token = token.strip()
+        if not re.fullmatch(r"\d+", token) or int(token) < 1:
+            raise argparse.ArgumentTypeError(
+                f"invalid exponent {token!r}; expected positive integers like 5,1,1"
+            )
+        exponents.append(int(token))
+    return exponents
 
 
 def _alpha_str(alpha: Fraction) -> str:
@@ -149,9 +156,11 @@ def _decimal(n: int) -> str:
 
 
 def _shorten(digits: str) -> str:
+    """Up to 20 digits as they are; past that 16 significant digits, rounded
+    up so that a printed upper bound stays an upper bound."""
     if len(digits) <= 20:
         return digits
-    return f"{digits[0]}.{digits[1:16]}e+{len(digits) - 1}"
+    return f"{_CEILING_16.plus(Decimal(digits)):.15e}"
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +172,14 @@ def _search_params(args) -> SearchParams:
         alpha=args.alpha,
         max_omega=args.max_omega,
         limit=args.limit,
-        parity="odd_only" if args.odd_only else "any",
+        parity=args.parity,
         worker_count=_resolve_jobs(args),
     )
 
 
 def _cmd_scan(args) -> int:
-    parity = "odd_only" if args.odd_only else "any"
     jobs = _resolve_jobs(args)
-    found = brute_scan(args.alpha, args.limit, parity, worker_count=jobs)
+    found = brute_scan(args.alpha, args.limit, args.parity, worker_count=jobs)
     pairs = [(fi, is_primitive(fi)) for fi in found]
     _emit_records(pairs, args.alpha, "scan", args.output, sys.stdout)
     _diag(args, f"scan: {len(pairs)} found up to {args.limit} (jobs={jobs})")
@@ -279,18 +287,7 @@ def _cmd_signature_extract(args) -> int:
 
 
 def _cmd_signature_reconstruct(args) -> int:
-    exponents = []
-    for token in args.exponents.split(","):
-        token = token.strip()
-        if not re.fullmatch(r"\d+", token) or int(token) < 1:
-            print(
-                f"{PROG}: error: invalid exponent {token!r} in --exponents;"
-                " expected positive integers like 5,1,1",
-                file=sys.stderr,
-            )
-            return 1
-        exponents.append(int(token))
-    result = reconstruct(args.alpha, args.p1, exponents)
+    result = reconstruct(args.alpha, args.p1, args.exponents)
     if args.output == "table":
         if result.ok:
             print(result.number.value)
@@ -302,7 +299,7 @@ def _cmd_signature_reconstruct(args) -> int:
         payload = {
             "alpha": _alpha_str(args.alpha),
             "p1": args.p1,
-            "exponents": exponents,
+            "exponents": args.exponents,
             "value": str(result.number.value) if result.ok else None,
             "chain": _pairs(result.chain),
             "failure": result.failure,
@@ -318,25 +315,24 @@ def _interval_json(interval) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    alpha = args.alpha
-    integer = alpha.denominator == 1
     rows = []
     for r in range(1, args.max_r + 1):
-        row = {"r": r, "count_coefficient": _interval_json(count_coefficient(r))}
-        row["primitive_count_bound"] = _interval_json(
-            primitive_count_bound(alpha, r, args.limit, integer_alpha=integer)
-        )
-        if integer:
-            k = alpha.numerator
-            row["multiperfect_count_bound"] = _interval_json(
-                multiperfect_count_bound(k, r, args.limit)
-            )
-            if r <= MAX_ABSOLUTE_R:
-                row["absolute_count_bound"] = _decimal(absolute_count_bound(k, r))
-                row["chain_check"] = all(ok for _, ok in bound_chain_check(k, r))
+        report = bound_report(args.alpha, r, args.limit)
+        row = {
+            "r": r,
+            "count_coefficient": _interval_json(report.f_values[r]),
+            "primitive_count_bound": _interval_json(report.primitive_count),
+        }
+        if report.multiperfect_count is not None:
+            row["multiperfect_count_bound"] = _interval_json(report.multiperfect_count)
+        if report.absolute_count is not None:
+            row["absolute_count_bound"] = _decimal(report.absolute_count)
+            row["chain_check"] = all(ok for _, ok in report.chain_inequalities)
         rows.append(row)
+    # The multiperfect bound is reported at every r or at none.
+    integer = "multiperfect_count_bound" in rows[0]
     summary = {
-        "alpha": _alpha_str(alpha),
+        "alpha": _alpha_str(args.alpha),
         "limit": str(args.limit) if args.limit else "2^(4^r)",
         "rows": rows,
     }
@@ -369,7 +365,7 @@ def _cmd_bounds(args) -> int:
                 f"  f(r) <= {row['count_coefficient']['upper']}"
                 f"  primitive <= {row['primitive_count_bound']['upper']}"
             )
-            if integer and "absolute_count_bound" in row:
+            if "absolute_count_bound" in row:
                 line += (
                     f"  absolute <= {_shorten(row['absolute_count_bound'])}"
                     f"  chain={'ok' if row['chain_check'] else 'FAIL'}"
@@ -430,7 +426,8 @@ def _add_common(sub, *, omega=False, outputs=("json", "csv", "table")):
     if omega:
         sub.add_argument("--max-omega", type=_parse_positive_int, required=True,
                          help="largest distinct-prime count r to search")
-    sub.add_argument("--odd-only", action="store_true",
+    sub.add_argument("--odd-only", dest="parity", action="store_const",
+                     const="odd_only", default="any",
                      help="restrict to odd numbers")
     sub.add_argument("--jobs", type=_parse_positive_int, default=None,
                      help="worker processes (default: MPS_JOBS or all cores)")
@@ -470,7 +467,7 @@ def build_parser() -> _Parser:
     rec = sig_subs.add_parser("reconstruct", help="rebuild n from alpha, p1, exponents")
     rec.add_argument("--alpha", type=_parse_alpha, required=True)
     rec.add_argument("--p1", type=_parse_positive_int, required=True)
-    rec.add_argument("--exponents", required=True,
+    rec.add_argument("--exponents", type=_parse_exponents, required=True,
                      help="comma-separated exponent list, e.g. 5,1,1")
     rec.add_argument("--output", choices=("json", "table"), default="table")
     rec.set_defaults(func=_cmd_signature_reconstruct)

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -36,12 +37,7 @@ from .arithmetic import (
     sigma,
     sigma_prime_power,
 )
-from .bounds import (
-    MAX_ABSOLUTE_R,
-    absolute_count_bound,
-    multiperfect_count_bound,
-    primitive_count_bound,
-)
+from .bounds import bound_report
 from .classify import is_primitive
 from .signature import ChainRule
 
@@ -286,6 +282,13 @@ def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     return s > 1
 
 
+@cache
+def _primes_above(p1: int) -> tuple[int, ...]:
+    """The primes in (p1, CEILING_SIEVE], one tuple per p1 for every walker."""
+    primes = primes_upto(CEILING_SIEVE)
+    return primes[bisect_right(primes, p1) :]
+
+
 class _Walk:
     """One walk from a root p1: its constants, chain rule and counters.
 
@@ -307,8 +310,7 @@ class _Walk:
         self.limit = limit
         self.depth_cap = depth_cap
         self.p1 = p1
-        primes = primes_upto(CEILING_SIEVE)
-        self.above_p1 = primes[bisect_right(primes, p1) :]
+        self.above_p1 = _primes_above(p1)
         self.rule = rule
         self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.nodes = 0
@@ -520,43 +522,38 @@ def verify_counts(params: SearchParams, report: SearchReport) -> list[BoundCheck
     checks: list[BoundCheck] = []
     if params.limit < 3:
         return checks
-    alpha = params.alpha
-    integer_alpha = alpha.denominator == 1
+    r = params.max_omega
+    bounds = bound_report(params.alpha, r, params.limit)
     odd_primitive = sum(
         1 for f in report.found if f.number.value % 2 == 1 and f.primitive
     )
-    b = primitive_count_bound(
-        alpha, params.max_omega, params.limit, integer_alpha=integer_alpha
-    )
-    label = "0.05*(ln x)^r" if integer_alpha else "1.31*a/(a-1)*(ln x)^r"
+    odd_total = sum(1 for f in report.found if f.number.value % 2 == 1)
+    multi = bounds.multiperfect_count
+    label = "1.31*a/(a-1)*(ln x)^r" if multi is None else "0.05*(ln x)^r"
     checks.append(
         BoundCheck(
             f"odd primitive count <= {label}",
             odd_primitive,
-            str(b),
-            odd_primitive <= b.lower,
+            str(bounds.primitive_count),
+            odd_primitive <= bounds.primitive_count.lower,
         )
     )
-    if integer_alpha:
-        k = alpha.numerator
-        odd_total = sum(1 for f in report.found if f.number.value % 2 == 1)
-        b4 = multiperfect_count_bound(k, params.max_omega, params.limit)
+    if multi is not None:
         checks.append(
             BoundCheck(
                 "odd count <= k*(ln x)^((r^2+8r)/9)",
                 odd_total,
-                str(b4),
-                odd_total <= b4.lower,
+                str(multi),
+                odd_total <= multi.lower,
             )
         )
-        if params.max_omega <= MAX_ABSOLUTE_R:
-            t1 = absolute_count_bound(k, params.max_omega)
-            checks.append(
-                BoundCheck(
-                    "odd count <= k*4^(r^3) (limit-free form)",
-                    odd_total,
-                    f"{k}*4^{params.max_omega**3}",
-                    odd_total <= t1,
-                )
+    if bounds.absolute_count is not None:
+        checks.append(
+            BoundCheck(
+                "odd count <= k*4^(r^3) (limit-free form)",
+                odd_total,
+                f"{params.alpha.numerator}*4^{r**3}",
+                odd_total <= bounds.absolute_count,
             )
+        )
     return checks

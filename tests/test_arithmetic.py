@@ -55,10 +55,11 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 0)
         p, q = 1_000_003, 1_000_033
         with pytest.raises(FactorizationExhausted):
-            factorize(p * q, rho_budget=0)
+            factorize(p * q)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,24 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import multiperfect.search as search
 from multiperfect.arithmetic import factorize
+from multiperfect.bounds import bound_report
 from multiperfect.classify import classify, is_primitive
 from multiperfect.cli import main
+
+
+def interval_json(interval):
+    lower, upper = interval.decimal(20)
+    return {"lower": lower, "upper": upper}
 
 
 def run_cli(capsys, *argv):
@@ -229,9 +237,53 @@ class TestBoundsCommand:
             elif output == "csv":
                 value = list(csv.reader(io.StringIO(out)))[20][4]
             else:
-                assert "r=20" in out and "absolute <= 6.038938674478455e+4816" in out
+                assert "r=20" in out and "absolute <= 6.038938674478456e+4816" in out
                 continue
             assert int(Decimal(value)) == 2 * 4**8000
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_table_rounds_the_absolute_bound_up(self, capsys, k):
+        code, out, _ = run_cli(capsys, "bounds", "--alpha", str(k), "--max-r", "20")
+        assert code == 0
+        printed = re.findall(r"^r=\s*(\d+) .* absolute <= (\S+) ", out, re.M)
+        assert [int(r) for r, _ in printed] == list(range(1, 21))
+        for r, text in printed[3:]:
+            value = Decimal(text)
+            ulp = Decimal((0, (1,), value.as_tuple().exponent))
+            assert value - ulp < k * 4 ** (int(r) ** 3) <= value
+
+    @pytest.mark.parametrize("alpha, max_r, limit", [("2", 21, None), ("3/2", 6, 10**6)])
+    def test_rows_are_the_bound_reports(self, capsys, alpha, max_r, limit):
+        argv = ["bounds", "--alpha", alpha, "--max-r", str(max_r), "--output", "json"]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == max_r
+        for r, row in enumerate(rows, start=1):
+            report = bound_report(Fraction(alpha), r, limit)
+            expected = {
+                "r": r,
+                "count_coefficient": interval_json(report.f_values[r]),
+                "primitive_count_bound": interval_json(report.primitive_count),
+            }
+            if report.multiperfect_count is not None:
+                expected["multiperfect_count_bound"] = interval_json(
+                    report.multiperfect_count
+                )
+            if report.absolute_count is not None:
+                expected["absolute_count_bound"] = str(Decimal(report.absolute_count))
+                expected["chain_check"] = all(
+                    ok for _, ok in report.chain_inequalities
+                )
+            assert row == expected
+        if alpha == "2":
+            assert "multiperfect_count_bound" in rows[20]
+            assert "absolute_count_bound" not in rows[20]
+            assert "chain_check" not in rows[20]
+        else:
+            assert all("multiperfect_count_bound" not in row for row in rows)
 
     @pytest.mark.parametrize("max_r", ["0", "-1"])
     def test_max_r_must_be_positive(self, capsys, max_r):

@@ -418,6 +418,14 @@ class TestVerifyCounts:
         assert len(checks) == 1
         assert checks[0].passed
 
+    @pytest.mark.parametrize("alpha, count", [(Fraction(3), 2), (Fraction(3, 2), 1)])
+    def test_past_the_absolute_bound_range(self, alpha, count):
+        # k*4^(r^3) is evaluated up to r = 20 only.
+        params = SearchParams(alpha, 21, 10**4)
+        checks = verify_counts(params, chain_search(params))
+        assert len(checks) == count
+        assert all(c.passed for c in checks)
+
     def test_tiny_limit_yields_no_checks(self):
         params = SearchParams(Fraction(2), 2, 2)
         report = chain_search(params)
