@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 # Trial division handles everything below this; larger cofactors go to rho.
@@ -83,22 +84,18 @@ class FactoredInteger:
 # ---------------------------------------------------------------------------
 
 class _Sieve:
-    def __init__(self, limit: int, primes: tuple[int, ...]):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.primes = primes
+        self.marks = bytearray([1]) * (limit + 1)
+        self.marks[0:2] = b"\x00\x00"
+        for p in range(2, isqrt(limit) + 1):
+            if self.marks[p]:
+                self.marks[p * p :: p] = bytes((limit - p * p) // p + 1)
+        self.primes = tuple(compress(range(limit + 1), self.marks))
 
 
 _sieve_lock = threading.Lock()
-_sieve = _Sieve(1, ())
-
-
-def _eratosthenes(limit: int) -> tuple[int, ...]:
-    marks = bytearray([1]) * (limit + 1)
-    marks[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if marks[p]:
-            marks[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
-    return tuple(i for i in range(limit + 1) if marks[i])
+_sieve = _Sieve(1)
 
 
 def _sieve_through(limit: int) -> _Sieve:
@@ -112,8 +109,8 @@ def _sieve_through(limit: int) -> _Sieve:
         cur = _sieve
         if cur.limit >= limit:
             return cur
-        new_limit = max(limit, 2 * cur.limit, 1 << 16)
-        _sieve = _Sieve(new_limit, _eratosthenes(new_limit))
+        # 2^17 covers TRIAL_DIVISION_LIMIT and search.CEILING_SIEVE: one build.
+        _sieve = _Sieve(max(limit, 2 * cur.limit, 1 << 17))
         return _sieve
 
 
@@ -194,8 +191,7 @@ def is_prime(n: int) -> bool:
         return False
     s = _sieve
     if n <= s.limit:
-        i = bisect_right(s.primes, n)
-        return i > 0 and s.primes[i - 1] == n
+        return s.marks[n] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -404,7 +400,8 @@ def _cyclotomic_pieces(p: int, n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _primes_one_mod(k: int) -> tuple[int, ...]:
     """Primes q <= TRIAL_DIVISION_LIMIT with q = 1 (mod k), ascending."""
-    return tuple(q for q in primes_upto(TRIAL_DIVISION_LIMIT) if q % k == 1)
+    marks = _sieve_through(TRIAL_DIVISION_LIMIT).marks[: TRIAL_DIVISION_LIMIT + 1]
+    return tuple(compress(range(k + 1, len(marks), k), marks[k + 1 :: k]))
 
 
 @lru_cache(maxsize=200_000)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath import iv
-
 from .arithmetic import nth_odd_prime
 
 DEFAULT_PRECISION = 128
@@ -113,18 +111,19 @@ def _as_interval(x) -> Interval:
     return Interval(_mpf_fraction(lo), _mpf_fraction(hi))
 
 
-def _iv_number(v: Number):
+def _iv_number(iv, v: Number):
     if isinstance(v, Fraction):
         return iv.mpf(v.numerator) / iv.mpf(v.denominator)
     return iv.mpf(v)
 
 
 def _evaluate(build, prec: int) -> Interval:
+    from mpmath import iv  # loaded by the first evaluation, not by import
     with _iv_lock:
         saved = iv.prec
         try:
             iv.prec = prec
-            return _as_interval(build())
+            return _as_interval(build(iv))
         finally:
             iv.prec = saved
 
@@ -146,11 +145,11 @@ def _rigorous(build, rel_tol: Fraction = _REL_TOLERANCE) -> Interval:
     raise ArithmeticError("interval evaluation did not stabilize")
 
 
-def _log_limit(r: int, x: Optional[Number]):
+def _log_limit(iv, r: int, x: Optional[Number]):
     """Interval for ln x; x=None means the conceptual limit 2^(4^r)."""
     if x is None:
         return iv.mpf(4) ** r * iv.log(iv.mpf(2))
-    return iv.log(_iv_number(x))
+    return iv.log(_iv_number(iv, x))
 
 
 def _require_limit(x: Optional[Number]) -> None:
@@ -172,7 +171,7 @@ def count_coefficient(r: int) -> Interval:
         raise ValueError("r must be >= 1")
     qs = [nth_odd_prime(i) for i in range(1, r + 1)]
 
-    def build():
+    def build(iv):
         denom = iv.mpf(2)
         for q in qs:
             denom *= iv.log(iv.mpf(q))
@@ -202,11 +201,11 @@ def primitive_count_bound(
         raise ValueError("integer_alpha requires an integer alpha")
     ratio = alpha / (alpha - 1)
 
-    def build():
-        lx = _log_limit(r, x)
+    def build(iv):
+        lx = _log_limit(iv, r, x)
         if integer_alpha:
-            return _iv_number(Fraction(5, 100)) * lx**r
-        return _iv_number(Fraction(131, 100)) * _iv_number(ratio) * lx**r
+            return _iv_number(iv, Fraction(5, 100)) * lx**r
+        return _iv_number(iv, Fraction(131, 100)) * _iv_number(iv, ratio) * lx**r
 
     return _rigorous(build)
 
@@ -220,9 +219,9 @@ def multiperfect_count_bound(k: int, r: int, x: Optional[Number]) -> Interval:
     _require_limit(x)
     expo = Fraction(r * r + 8 * r, 9)
 
-    def build():
-        lx = _log_limit(r, x)
-        return iv.mpf(k) * iv.exp(iv.log(lx) * _iv_number(expo))
+    def build(iv):
+        lx = _log_limit(iv, r, x)
+        return iv.mpf(k) * iv.exp(iv.log(lx) * _iv_number(iv, expo))
 
     return _rigorous(build)
 
@@ -254,20 +253,26 @@ def bound_chain_check(k: int, r: int) -> list[tuple[str, bool]]:
     Exponent steps are exact rational arithmetic; the value comparison runs
     in interval arithmetic against the exact right-hand integer.
     """
+    return _chain_check(k, r, None)
+
+
+def _chain_check(k: int, r: int, lhs: Optional[Interval]) -> list[tuple[str, bool]]:
+    # lhs is multiperfect_count_bound(k, r, None), or None to evaluate it here.
     final = absolute_count_bound(k, r)  # also rejects k < 2 and r out of range
     q = Fraction(r * r + 8 * r, 9)
     mid_expo = Fraction(r**3 + 8 * r**2, 9)
 
-    ln2 = _rigorous(lambda: iv.log(iv.mpf(2)))
-    lnx = _rigorous(lambda: _log_limit(r, None))
-    lhs = multiperfect_count_bound(k, r, None)
+    ln2 = _rigorous(lambda iv: iv.log(iv.mpf(2)))
+    lnx = _rigorous(lambda iv: _log_limit(iv, r, None))
+    if lhs is None:
+        lhs = multiperfect_count_bound(k, r, None)
     if mid_expo.denominator == 1:
         mid_ok = lhs.strictly_below(k * 4 ** int(mid_expo)) and (
             k * 4 ** int(mid_expo) <= final
         )
     else:
         mid = _rigorous(
-            lambda: iv.mpf(k) * iv.exp(iv.log(iv.mpf(4)) * _iv_number(mid_expo))
+            lambda iv: iv.mpf(k) * iv.exp(iv.log(iv.mpf(4)) * _iv_number(iv, mid_expo))
         )
         mid_ok = lhs.separated_below(mid) and mid.strictly_below(final)
 
@@ -316,7 +321,7 @@ def bound_report(alpha: Fraction, r: int, x: Optional[Number] = None) -> BoundRe
     multi = multiperfect_count_bound(int(alpha), r, x) if integer else None
     exact = integer and r <= MAX_ABSOLUTE_R
     absolute = absolute_count_bound(int(alpha), r) if exact else None
-    chain = bound_chain_check(int(alpha), r) if exact else []
+    chain = _chain_check(int(alpha), r, multi if x is None else None) if exact else []
     return BoundReport(
         alpha=alpha,
         r=r,

@@ -18,13 +18,10 @@ computation on its factorization.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, prod
-
-import numpy as np
+from math import gcd, prod
 
 from .arithmetic import (
     FactoredInteger,
@@ -80,6 +77,7 @@ def _check_args(
 def _map(fn, tasks: list, worker_count: int, chunksize: int) -> list:
     """[fn(t) for t in tasks], on a process pool when it has work to share."""
     if worker_count > 1 and len(tasks) > 1:
+        from concurrent import futures
         with futures.ProcessPoolExecutor(max_workers=worker_count) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
     return [fn(t) for t in tasks]
@@ -139,26 +137,6 @@ class SearchReport:
 # Blocked divisor-sum sieve (the oracle route)
 # ---------------------------------------------------------------------------
 
-def _sigma_block(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for all n in [lo, hi) by paired-divisor accumulation.
-
-    For each d <= sqrt(hi-1), every multiple n = d*j with j >= d gains the
-    divisor pair d + j; the square n = d*d gains d twice and is corrected.
-    """
-    sig = np.zeros(hi - lo, dtype=np.int64)
-    for d in range(1, isqrt(hi - 1) + 1):
-        j0 = max(d, -(-lo // d))
-        j1 = (hi - 1) // d
-        if j0 > j1:
-            continue
-        count = j1 - j0 + 1
-        view = sig[d * j0 - lo :: d][:count]
-        view += np.arange(j0 + d, j1 + d + 1, dtype=np.int64)
-        if j0 <= d <= j1:
-            sig[d * d - lo] -= d
-    return sig
-
-
 def _meets(target: Fraction | None, sig, n):
     """sigma(n) = target*n, or an integer multiple >= 2 of n for target None.
 
@@ -169,17 +147,12 @@ def _meets(target: Fraction | None, sig, n):
     return target.denominator * sig == target.numerator * n
 
 
-def _scan_block(task) -> list[int]:
-    lo, hi, target = task
-    n_vals = np.arange(lo, hi, dtype=np.int64)
-    hits = np.nonzero(_meets(target, _sigma_block(lo, hi), n_vals))[0]
-    return [int(n) for n in n_vals[hits]]
-
-
 def _run_blocks(
     limit: int, target: Fraction | None, worker_count: int, block_size: int
 ) -> list[int]:
     """Sieve candidates n <= limit for target, block by block, unsorted."""
+    # numpy loads with the kernel here, before _map forks any pool worker.
+    from ._blocks import _scan_block
     num, den = (1, 1) if target is None else (target.numerator, target.denominator)
     if num * limit >= 1 << 62 or den * 7 * limit >= 1 << 62:
         raise ValueError("alpha times limit exceeds the exact range of the sieve")

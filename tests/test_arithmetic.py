@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiperfect.arithmetic as arithmetic
 from multiperfect.arithmetic import (
+    TRIAL_DIVISION_LIMIT,
     FactoredInteger,
     FactorizationExhausted,
     _pollard_rho,
+    _primes_one_mod,
     _rho_step_cost,
     abundancy,
     factored_sigma_prime_power,
@@ -24,6 +27,10 @@ from multiperfect.arithmetic import (
 )
 
 from conftest import divisors, sigma_naive, trial_factorize, unitary_divisors_naive
+
+# Seeded, so every run draws the same examples; no per-example deadline,
+# since a 24-digit semiprime can take rho a good fraction of a second.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
 
 class TestFactorize:
@@ -64,6 +71,24 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+class TestFactorizeProperties:
+    # Digit counts 1..24 drawn evenly, so most examples need rho, not only
+    # trial division.
+    @PROPERTY
+    @given(st.integers(1, 24).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)))
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+    @PROPERTY
+    @given(st.integers(1, 10**12), st.integers(TRIAL_DIVISION_LIMIT, 10**12))
+    def test_prime_above_trial_division(self, m, start):
+        # q is out of trial division's reach, so rho or Miller-Rabin must find it
+        sympy = pytest.importorskip("sympy")
+        n = m * sympy.nextprime(start)
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
 
 
 class TestFactoredInteger:
@@ -194,6 +219,21 @@ class TestPrimes:
     def test_is_prime_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+    def test_primes_one_mod_matches_definition(self):
+        table = primes_upto(TRIAL_DIVISION_LIMIT)
+        for k in range(2, 301):
+            expected = tuple(q for q in table if q % k == 1)
+            assert _primes_one_mod.__wrapped__(k) == expected, k
+
+    def test_growing_sieve_matches_sympy(self, monkeypatch):
+        # a fresh table, asked for ever larger limits: the first call builds
+        # the floor table, the last one grows it
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(arithmetic, "_sieve", arithmetic._Sieve(1))
+        for limit in (10, 2**16, 10**5, 3 * 10**5):
+            assert primes_upto(limit) == tuple(sympy.primerange(2, limit + 1))
+        assert arithmetic._sieve.limit == 3 * 10**5
 
 
 class TestUnitaryDivisors:

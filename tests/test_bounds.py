@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import multiperfect.bounds as bounds
 from multiperfect.bounds import (
     Interval,
     absolute_count_bound,
@@ -217,6 +218,20 @@ class TestBoundReport:
         assert report.multiperfect_count is None
         assert report.absolute_count is None
         assert report.chain_inequalities == []
+
+    def test_conceptual_limit_evaluates_multiperfect_bound_once(self, monkeypatch):
+        # the report's multiperfect_count is also the chain check's left side
+        calls = []
+        real = bounds.multiperfect_count_bound
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "multiperfect_count_bound", counting)
+        report = bound_report(Fraction(2), 5)
+        assert calls == [(2, 5, None)]
+        assert all(ok for _, ok in report.chain_inequalities)
 
     def test_conceptual_limit(self):
         # x = None evaluates at x = 2^(4^r): ln x = 4^r * ln 2

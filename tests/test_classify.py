@@ -1,9 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiperfect import arithmetic
-from multiperfect.arithmetic import abundancy, factorize, sigma, unitary_divisors
+from multiperfect.arithmetic import (
+    FactoredInteger,
+    abundancy,
+    factorize,
+    sigma,
+    unitary_divisors,
+)
 from multiperfect.classify import (
     PrimitiveDecomposition,
     classify,
@@ -207,3 +216,40 @@ class TestPrimitiveDecomposition:
             PrimitiveDecomposition(
                 (factorize(6),), (2,), factorize(10), False
             )
+
+
+def _unitary_divisors_from(factors: dict[int, int]) -> list[int]:
+    powers = [p**e for p, e in factors.items()]
+    return [prod(c) for k in range(len(powers) + 1) for c in combinations(powers, k)]
+
+
+class TestPrimitiveDecompositionProperties:
+    # A multiperfect seed (or 1) times prime powers that may or may not be
+    # coprime to it: about a third of the examples have parts to peel.
+    SEEDS = (1, 6, 28, 120, 496, 672, 8128, 30240, 32760, 523776, 459818240)
+    PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 41)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(SEEDS),
+        st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 4), max_size=4),
+    )
+    def test_invariants(self, seed, powers):
+        sympy = pytest.importorskip("sympy")
+        value = seed * prod(p**e for p, e in powers.items())
+        n = FactoredInteger.from_factors(sorted(sympy.factorint(value).items()))
+        dec = primitive_decomposition(n)
+        assert dec.value == n.value
+        for part, mult in zip(dec.parts, dec.multipliers):
+            assert n.value % part.value == 0
+            assert gcd(part.value, n.value // part.value) == 1
+            assert sympy.divisor_sigma(part.value) == mult * part.value
+        # No unitary divisor 1 < d < leftover has d | sigma(d); the leftover
+        # itself may, and then it is flagged multiperfect.
+        leftover = dec.leftover.value
+        for d in _unitary_divisors_from(sympy.factorint(leftover)):
+            qualifies = sympy.divisor_sigma(d) % d == 0
+            if 1 < d < leftover:
+                assert not qualifies, d
+            elif d == leftover > 1:
+                assert qualifies == dec.leftover_is_multiperfect
