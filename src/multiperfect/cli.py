@@ -387,7 +387,7 @@ def _cmd_verify(args) -> int:
     chain_records = [
         _record(f.number, params.alpha, f.primitive, "chain") for f in report.found
     ]
-    chain_set = {rec["n"] for rec in chain_records}
+    chain_primitive = {rec["n"] for rec in chain_records if rec["primitive"]}
     checks = verify_counts(params, report)
     summary = {
         "alpha": _alpha_str(params.alpha),
@@ -396,7 +396,7 @@ def _cmd_verify(args) -> int:
         "parity": params.parity,
         "oracle": oracle_records,
         "chain": chain_records,
-        "primitive_set_equal": oracle_primitive == chain_set,
+        "primitive_set_equal": oracle_primitive == chain_primitive,
         "nodes_explored": report.nodes_explored,
         "pruned_by": report.pruned_by,
         "exhaustive": report.exhaustive,

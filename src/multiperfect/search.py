@@ -242,8 +242,8 @@ def _ceiling_steps(
 
 def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     """Whether s has a prime factor above room that does not divide matched."""
-    for q in primes_upto(room):
-        if q * q > s:
+    for q in _small_primes():
+        if q > room or q * q > s:
             break
         while s % q == 0:
             s //= q
@@ -253,6 +253,12 @@ def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     while (g := gcd(s, matched)) > 1:
         s //= g
     return s > 1
+
+
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to SMALL_ROOM, one tuple for every unmatched-prime test."""
+    return primes_upto(SMALL_ROOM)
 
 
 @cache

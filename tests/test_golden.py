@@ -31,6 +31,8 @@ SEARCHES = [
     ["chain-search", "--alpha", "9/5", "--limit", "10000", "--max-omega", "6"],
     ["verify", "--alpha", "3", "--limit", "1000000", "--max-omega", "12"],
     ["verify", "--alpha", "3/2", "--limit", "10000", "--max-omega", "12"],
+    # Both routes list only n = 30, which is not primitive.
+    ["verify", "--alpha", "12/5", "--limit", "100", "--max-omega", "3"],
 ]
 
 OTHERS = [
