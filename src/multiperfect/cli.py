@@ -17,6 +17,7 @@ import sys
 import traceback
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
+from itertools import chain
 
 from .arithmetic import FactorizationExhausted, FactoredInteger, factorize
 from .bounds import bound_report
@@ -94,10 +95,24 @@ def _pairs(factors) -> list[list[int]]:
     return [[p, e] for p, e in factors]
 
 
+def _number(fi: FactoredInteger) -> dict:
+    return {"n": str(fi.value), "factors": _pairs(fi.factors)}
+
+
+def _render(output: str, docs, table, rows=()) -> None:
+    """Write a command's result to stdout: each of docs as one compact JSON
+    line, rows (header first) as CSV, or the table lines. table and rows may
+    be generators, so only the chosen form is built."""
+    if output == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
+    for line in map(_json, docs) if output == "json" else table:
+        print(line)
+
+
 def _record(fi: FactoredInteger, alpha: Fraction, primitive: bool, source: str) -> dict:
     return {
-        "n": str(fi.value),
-        "factors": _pairs(fi.factors),
+        **_number(fi),
         "omega": fi.omega,
         "alpha": _alpha_str(alpha),
         "primitive": primitive,
@@ -105,31 +120,21 @@ def _record(fi: FactoredInteger, alpha: Fraction, primitive: bool, source: str) 
     }
 
 
-def _emit_records(found, alpha: Fraction, source: str, output: str, stream) -> None:
+def _emit_records(output: str, found, alpha: Fraction, source: str) -> None:
     """Write one record per (number, primitive) pair in found."""
-    if output == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "factors", "omega", "alpha", "primitive", "source"])
-    for fi, primitive in found:
-        rec = _record(fi, alpha, primitive, source)
-        if output == "json":
-            stream.write(_json(rec) + "\n")
-        elif output == "csv":
-            writer.writerow(
-                [
-                    rec["n"],
-                    _json(rec["factors"]),
-                    rec["omega"],
-                    rec["alpha"],
-                    str(primitive).lower(),
-                    source,
-                ]
-            )
-        else:
-            stream.write(
-                f"{rec['n']:>16}  omega={rec['omega']}  alpha={rec['alpha']}"
-                f"  primitive={str(primitive).lower()}  [{fi}]  ({source})\n"
-            )
+    records = [_record(fi, alpha, primitive, source) for fi, primitive in found]
+    table = (
+        f"{rec['n']:>16}  omega={rec['omega']}  alpha={rec['alpha']}"
+        f"  primitive={str(primitive).lower()}  [{fi}]  ({source})"
+        for rec, (fi, primitive) in zip(records, found)
+    )
+    header = ["n", "factors", "omega", "alpha", "primitive", "source"]
+    # A CSV cell holds a list or a bool as compact JSON, anything else as is.
+    rows = (
+        [_json(v) if isinstance(v, (list, bool)) else v for v in rec.values()]
+        for rec in records
+    )
+    _render(output, records, table, chain([header], rows))
 
 
 def _resolve_jobs(args) -> int:
@@ -147,12 +152,6 @@ def _resolve_jobs(args) -> int:
 def _diag(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message, file=sys.stderr)
-
-
-def _decimal(n: int) -> str:
-    # Decimal takes the int without a string, so this also works past the
-    # interpreter's limit on int-to-str conversion (4300 digits by default).
-    return str(Decimal(n))
 
 
 def _shorten(digits: str) -> str:
@@ -181,7 +180,7 @@ def _cmd_scan(args) -> int:
     jobs = _resolve_jobs(args)
     found = brute_scan(args.alpha, args.limit, args.parity, worker_count=jobs)
     pairs = [(fi, is_primitive(fi)) for fi in found]
-    _emit_records(pairs, args.alpha, "scan", args.output, sys.stdout)
+    _emit_records(args.output, pairs, args.alpha, "scan")
     _diag(args, f"scan: {len(pairs)} found up to {args.limit} (jobs={jobs})")
     return 0
 
@@ -198,7 +197,7 @@ def _search_exit(args, report) -> int:
 def _cmd_chain_search(args) -> int:
     report = chain_search(_search_params(args))
     pairs = [(f.number, f.primitive) for f in report.found]
-    _emit_records(pairs, args.alpha, "chain", args.output, sys.stdout)
+    _emit_records(args.output, pairs, args.alpha, "chain")
     prune_text = ", ".join(f"{k}={v}" for k, v in report.pruned_by.items() if v)
     _diag(
         args,
@@ -213,8 +212,7 @@ def _cmd_classify(args) -> int:
     perf = classify(fi)
     primitive = is_primitive(fi)
     payload = {
-        "n": str(fi.value),
-        "factors": _pairs(fi.factors),
+        **_number(fi),
         "omega": fi.omega,
         "alpha": _alpha_str(perf.alpha),
         "status": perf.status,
@@ -222,48 +220,31 @@ def _cmd_classify(args) -> int:
         "rational_multiperfect": perf.rational_multiperfect,
         "primitive": primitive,
     }
-    if args.output == "table":
-        print(f"n = {fi.value} = {fi}")
-        print(f"alpha = sigma(n)/n = {_alpha_str(perf.alpha)}")
-        print(f"status: {perf.status}"
-              + (" (rational)" if perf.rational_multiperfect else ""))
-        print(f"primitive: {str(primitive).lower()}")
-    else:
-        print(_json(payload))
+    _render(args.output, [payload], [
+        f"n = {fi.value} = {fi}",
+        f"alpha = sigma(n)/n = {payload['alpha']}",
+        f"status: {perf.status}"
+        + (" (rational)" if perf.rational_multiperfect else ""),
+        f"primitive: {str(primitive).lower()}",
+    ])
     return 0
 
 
 def _cmd_decompose(args) -> int:
     fi = factorize(args.n)
     dec = primitive_decomposition(fi)
+    parts = list(zip(dec.parts, dec.multipliers))
     payload = {
         "n": str(fi.value),
-        "parts": [
-            {
-                "n": str(part.value),
-                "factors": _pairs(part.factors),
-                "multiplier": mult,
-            }
-            for part, mult in zip(dec.parts, dec.multipliers)
-        ],
-        "leftover": {
-            "n": str(dec.leftover.value),
-            "factors": _pairs(dec.leftover.factors),
-        },
+        "parts": [{**_number(part), "multiplier": mult} for part, mult in parts],
+        "leftover": _number(dec.leftover),
         "leftover_is_multiperfect": dec.leftover_is_multiperfect,
     }
-    if args.output == "table":
-        if dec.parts:
-            for part, mult in zip(dec.parts, dec.multipliers):
-                print(f"part {part.value} = {part}  (sigma = {mult} * part)")
-        else:
-            print("no parts peeled")
-        print(
-            f"leftover {dec.leftover.value} = {dec.leftover}"
-            f"  multiperfect={str(dec.leftover_is_multiperfect).lower()}"
-        )
-    else:
-        print(_json(payload))
+    table = [f"part {part.value} = {part}  (sigma = {mult} * part)"
+             for part, mult in parts] or ["no parts peeled"]
+    table.append(f"leftover {dec.leftover.value} = {dec.leftover}"
+                 f"  multiperfect={str(dec.leftover_is_multiperfect).lower()}")
+    _render(args.output, [payload], table)
     return 0
 
 
@@ -277,35 +258,31 @@ def _cmd_signature_extract(args) -> int:
         "exponents": list(sig.exponents),
         "chain_primes": list(sig.chain_primes),
     }
-    if args.output == "table":
-        print(f"n = {fi.value}: alpha = {_alpha_str(sig.alpha)}, p1 = {sig.p1}")
-        print(f"exponents: {','.join(map(str, sig.exponents))}")
-        print(f"chain: {' -> '.join(map(str, sig.chain_primes))}")
-    else:
-        print(_json(payload))
+    _render(args.output, [payload], [
+        f"n = {fi.value}: alpha = {payload['alpha']}, p1 = {sig.p1}",
+        f"exponents: {','.join(map(str, sig.exponents))}",
+        f"chain: {' -> '.join(map(str, sig.chain_primes))}",
+    ])
     return 0
 
 
 def _cmd_signature_reconstruct(args) -> int:
     result = reconstruct(args.alpha, args.p1, args.exponents)
-    if args.output == "table":
-        if result.ok:
-            print(result.number.value)
-        else:
-            step = f" at step {result.failed_step}" if result.failed_step else ""
-            print(f"reconstruction failed: {result.failure}{step}")
-            print(f"chain so far: {result.chain}")
-    else:
-        payload = {
-            "alpha": _alpha_str(args.alpha),
-            "p1": args.p1,
-            "exponents": args.exponents,
-            "value": str(result.number.value) if result.ok else None,
-            "chain": _pairs(result.chain),
-            "failure": result.failure,
-            "failed_step": result.failed_step,
-        }
-        print(_json(payload))
+    payload = {
+        "alpha": _alpha_str(args.alpha),
+        "p1": args.p1,
+        "exponents": args.exponents,
+        "value": str(result.number.value) if result.ok else None,
+        "chain": _pairs(result.chain),
+        "failure": result.failure,
+        "failed_step": result.failed_step,
+    }
+    step = f" at step {result.failed_step}" if result.failed_step else ""
+    table = [payload["value"]] if result.ok else [
+        f"reconstruction failed: {result.failure}{step}",
+        f"chain so far: {result.chain}",
+    ]
+    _render(args.output, [payload], table)
     return 0
 
 
@@ -326,39 +303,19 @@ def _cmd_bounds(args) -> int:
         if report.multiperfect_count is not None:
             row["multiperfect_count_bound"] = _interval_json(report.multiperfect_count)
         if report.absolute_count is not None:
-            row["absolute_count_bound"] = _decimal(report.absolute_count)
+            # Decimal takes the int without a string, so this also works past
+            # the limit on int-to-str conversion (4300 digits by default).
+            row["absolute_count_bound"] = str(Decimal(report.absolute_count))
             row["chain_check"] = all(ok for _, ok in report.chain_inequalities)
         rows.append(row)
-    # The multiperfect bound is reported at every r or at none.
-    integer = "multiperfect_count_bound" in rows[0]
     summary = {
         "alpha": _alpha_str(args.alpha),
         "limit": str(args.limit) if args.limit else "2^(4^r)",
         "rows": rows,
     }
-    if args.output == "json":
-        print(_json(summary))
-    elif args.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = ["r", "count_coefficient_upper", "primitive_bound_upper"]
-        if integer:
-            header += ["multiperfect_bound_upper", "absolute_bound", "chain_check"]
-        writer.writerow(header)
-        for row in rows:
-            out = [
-                row["r"],
-                row["count_coefficient"]["upper"],
-                row["primitive_count_bound"]["upper"],
-            ]
-            if integer:
-                out += [
-                    row.get("multiperfect_count_bound", {}).get("upper", ""),
-                    row.get("absolute_count_bound", ""),
-                    row.get("chain_check", ""),
-                ]
-            writer.writerow(out)
-    else:
-        print(f"alpha = {summary['alpha']}, limit = {summary['limit']}")
+
+    def table():
+        yield f"alpha = {summary['alpha']}, limit = {summary['limit']}"
         for row in rows:
             line = (
                 f"r={row['r']:>2}"
@@ -370,7 +327,21 @@ def _cmd_bounds(args) -> int:
                     f"  absolute <= {_shorten(row['absolute_count_bound'])}"
                     f"  chain={'ok' if row['chain_check'] else 'FAIL'}"
                 )
-            print(line)
+            yield line
+
+    header = ["r", "count_coefficient_upper", "primitive_bound_upper"]
+    # The multiperfect bound is reported at every r or at none.
+    if "multiperfect_count_bound" in rows[0]:
+        header += ["multiperfect_bound_upper", "absolute_bound", "chain_check"]
+    # A row's fields in header order: an interval gives its upper end, and a
+    # row past MAX_ABSOLUTE_R leaves its absolute bound and chain check empty.
+    # chain_check prints as True/False, unlike a record's bools.
+    cells = (
+        [v["upper"] if isinstance(v, dict) else v for v in row.values()]
+        + [""] * (len(header) - len(row))
+        for row in rows
+    )
+    _render(args.output, [summary], table(), chain([header], cells))
     return 0
 
 
@@ -410,7 +381,7 @@ def _cmd_verify(args) -> int:
             for c in checks
         ],
     }
-    print(_json(summary))
+    _render(args.output, [summary], ())
     return _search_exit(args, report)
 
 
@@ -440,50 +411,47 @@ def build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    scan = subs.add_parser("scan", help="divisor-sum sieve scan up to a limit")
-    _add_common(scan)
-    scan.set_defaults(func=_cmd_scan)
+    def command(group, name, func, help, n=False, table=False):
+        sub = group.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        if n:
+            sub.add_argument("n", type=_parse_positive_int)
+        if table:
+            sub.add_argument("--output", choices=("json", "table"), default="table")
+        return sub
 
-    chain = subs.add_parser("chain-search", help="signature-chain enumeration")
-    _add_common(chain, omega=True)
-    chain.set_defaults(func=_cmd_chain_search)
-
-    cls = subs.add_parser("classify", help="abundancy and multiperfection of n")
-    cls.add_argument("n", type=_parse_positive_int)
-    cls.add_argument("--output", choices=("json", "table"), default="table")
-    cls.set_defaults(func=_cmd_classify)
-
-    dec = subs.add_parser("decompose", help="peel primitive unitary parts off n")
-    dec.add_argument("n", type=_parse_positive_int)
-    dec.add_argument("--output", choices=("json", "table"), default="table")
-    dec.set_defaults(func=_cmd_decompose)
+    _add_common(command(subs, "scan", _cmd_scan,
+                        "divisor-sum sieve scan up to a limit"))
+    _add_common(command(subs, "chain-search", _cmd_chain_search,
+                        "signature-chain enumeration"), omega=True)
+    command(subs, "classify", _cmd_classify, "abundancy and multiperfection of n",
+            n=True, table=True)
+    command(subs, "decompose", _cmd_decompose, "peel primitive unitary parts off n",
+            n=True, table=True)
 
     sig = subs.add_parser("signature", help="extract or rebuild prime-chain signatures")
     sig_subs = sig.add_subparsers(dest="signature_command", required=True)
-    ext = sig_subs.add_parser("extract", help="signature of a primitive number")
-    ext.add_argument("n", type=_parse_positive_int)
-    ext.add_argument("--output", choices=("json", "table"), default="table")
-    ext.set_defaults(func=_cmd_signature_extract)
-    rec = sig_subs.add_parser("reconstruct", help="rebuild n from alpha, p1, exponents")
+    command(sig_subs, "extract", _cmd_signature_extract,
+            "signature of a primitive number", n=True, table=True)
+    rec = command(sig_subs, "reconstruct", _cmd_signature_reconstruct,
+                  "rebuild n from alpha, p1, exponents")
     rec.add_argument("--alpha", type=_parse_alpha, required=True)
     rec.add_argument("--p1", type=_parse_positive_int, required=True)
     rec.add_argument("--exponents", type=_parse_exponents, required=True,
                      help="comma-separated exponent list, e.g. 5,1,1")
+    # Added last, as --output is listed after the other options.
     rec.add_argument("--output", choices=("json", "table"), default="table")
-    rec.set_defaults(func=_cmd_signature_reconstruct)
 
-    bnd = subs.add_parser("bounds", help="tabulate the rigorous count bounds")
+    bnd = command(subs, "bounds", _cmd_bounds, "tabulate the rigorous count bounds")
     bnd.add_argument("--alpha", type=_parse_alpha, required=True)
     bnd.add_argument("--max-r", type=_parse_positive_int, required=True)
     bnd.add_argument("--limit", type=_parse_positive_int, default=None,
                      help="evaluate (ln x) bounds at this x; default 2^(4^r)")
     bnd.add_argument("--output", choices=("json", "csv", "table"), default="table")
-    bnd.set_defaults(func=_cmd_bounds)
 
-    ver = subs.add_parser("verify", help="oracle scan vs chain search, with bounds")
-    _add_common(ver, omega=True, outputs=("json",))
-    ver.set_defaults(func=_cmd_verify)
-
+    _add_common(command(subs, "verify", _cmd_verify,
+                        "oracle scan vs chain search, with bounds"),
+                omega=True, outputs=("json",))
     return parser
 
 

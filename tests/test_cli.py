@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import multiperfect.cli as cli
 import multiperfect.search as search
 from multiperfect.arithmetic import factorize
 from multiperfect.bounds import bound_report
@@ -299,6 +300,20 @@ class TestBoundsCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][0] == "r"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_only_the_table_shortens(self, capsys, monkeypatch, output):
+        # json and csv print the full digits; only the table's lines are built
+        # through _shorten, so the other forms never call it.
+        def refuse(digits):
+            raise AssertionError("_shorten called")
+
+        monkeypatch.setattr(cli, "_shorten", refuse)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--alpha", "2", "--max-r", "20", "--output", output
+        )
+        assert code == 0
+        assert str(Decimal(2 * 4**8000))[:20] in out
 
 
 class TestVerifyCommand:

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multiperfect import arithmetic
-from multiperfect.arithmetic import abundancy, factorize, nu, sigma
+from multiperfect.arithmetic import (
+    FactoredInteger,
+    abundancy,
+    factorize,
+    nu,
+    primes_upto,
+    sigma,
+)
 from multiperfect.classify import is_primitive
 from multiperfect.search import multiperfect_scan
 from multiperfect.signature import (
@@ -16,6 +24,34 @@ from multiperfect.signature import (
 )
 
 CATALOG = [6, 28, 496, 8128, 120, 672, 523776, 30240, 32760, 2178540, 2]
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def prime_power_products(draw, bound, max_omega, max_exp):
+    """A number with 1..max_omega distinct primes below bound, each to an
+    exponent in 1..max_exp."""
+    primes = draw(st.lists(st.sampled_from(primes_upto(bound)), min_size=1,
+                           max_size=max_omega, unique=True))
+    return FactoredInteger.from_factors(
+        sorted((p, draw(st.integers(1, max_exp))) for p in primes)
+    )
+
+
+@st.composite
+def chain_grown(draw, max_omega, max_exp):
+    """A number grown one prime power at a time, each new prime drawn from
+    the divisor sum of the part so far. Its primes cancel out of alpha, so
+    its chain order is not simply the sorted order, as in a random product."""
+    factors = {draw(st.sampled_from(primes_upto(30))): draw(st.integers(1, max_exp))}
+    for _ in range(draw(st.integers(0, max_omega - 1))):
+        part = FactoredInteger.from_factors(sorted(factors.items()))
+        unused = [q for q, _ in factorize(sigma(part)).factors if q not in factors]
+        if not unused:
+            break
+        factors[draw(st.sampled_from(unused))] = draw(st.integers(1, max_exp))
+    return FactoredInteger.from_factors(sorted(factors.items()))
 
 
 class TestExtract:
@@ -172,11 +208,57 @@ class TestSignatureProperties:
             s = fi.omega
             assert fi.factors[0][0] <= alpha * s / (alpha - 1)
 
+    @PROPERTY
+    @given(st.one_of(prime_power_products(1000, 6, 4), chain_grown(6, 4)))
+    def test_round_trip_on_drawn_primitive_numbers(self, fi):
+        # Any primitive n, of integer or non-integer abundancy: random
+        # products as the benchmark's library queries draw them (primes
+        # below 1000, exponents 1..4), and chain-grown numbers.
+        assume(is_primitive(fi))
+        sig = extract_signature(fi)
+        result = reconstruct(sig.alpha, sig.p1, sig.exponents)
+        assert result.ok, f"round trip failed for {fi.value}"
+        assert result.number.value == fi.value
+
+    @PROPERTY
+    @given(st.one_of(prime_power_products(100, 4, 3), chain_grown(4, 3)), st.data())
+    def test_reverse_round_trip_from_the_smallest_prime(self, m, data):
+        # extract(reconstruct(alpha, p1, exps)) gives back (p1, exps) only
+        # when p1 is the rebuilt n's smallest prime and n is primitive; see
+        # TestReverseCounterexamples. alpha, p1 and the exponents come from
+        # a drawn m, so that about half of the reconstructions succeed.
+        alpha = abundancy(m)
+        p1 = data.draw(st.sampled_from([p for p, _ in m.factors]))
+        exponents = tuple(data.draw(st.permutations([e for _, e in m.factors])))
+        result = reconstruct(alpha, p1, exponents)
+        assume(result.ok)
+        n = result.number
+        assume(n.factors[0][0] == p1 and is_primitive(n))
+        sig = extract_signature(n)
+        assert (sig.alpha, sig.p1, sig.exponents) == (alpha, p1, exponents)
+
     def test_prime_power_parts_fit_the_limit(self, corpus):
         limit = max(fi.value for fi in corpus)
         for fi in corpus:
             for p, e in fi.factors:
                 assert p**e <= limit
+
+
+class TestReverseCounterexamples:
+    """reconstruct can succeed where extract does not give its input back."""
+
+    def test_chain_may_start_above_the_smallest_prime(self):
+        result = reconstruct(Fraction(2), 3, [1, 1])
+        assert result.ok
+        assert result.number.value == 6
+        assert extract_signature(result.number).p1 == 2
+
+    def test_rebuilt_number_may_not_be_primitive(self):
+        result = reconstruct(Fraction(12, 5), 2, [1, 1, 1])
+        assert result.ok
+        assert result.number.value == 30
+        with pytest.raises(NotPrimitive):
+            extract_signature(result.number)
 
 
 class TestChainSignatureValidation:
