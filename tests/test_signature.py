@@ -43,7 +43,8 @@ def prime_power_products(draw, bound, max_omega, max_exp):
 def chain_grown(draw, max_omega, max_exp):
     """A number grown one prime power at a time, each new prime drawn from
     the divisor sum of the part so far. Its primes cancel out of alpha, so
-    its chain order is not simply the sorted order, as in a random product."""
+    its chain order need not be the sorted order, which a random product's
+    almost always is."""
     factors = {draw(st.sampled_from(primes_upto(30))): draw(st.integers(1, max_exp))}
     for _ in range(draw(st.integers(0, max_omega - 1))):
         part = FactoredInteger.from_factors(sorted(factors.items()))
