@@ -7,7 +7,6 @@ carried together with their prime-power factorization (FactoredInteger).
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,11 +17,13 @@ from math import gcd, isqrt
 
 # Trial division handles everything below this; larger cofactors go to rho.
 TRIAL_DIVISION_LIMIT = 100_000
-DEFAULT_RHO_BUDGET = 4_000_000
+# Rho steps of x^2 + c per factorization: enough for sigma(13^36), the
+# hardest value the odd-only walks at 10^50 and 10^60 (r = 20) split.
+DEFAULT_RHO_BUDGET = 6_300_000
 
 
 class FactorizationExhausted(Exception):
-    """A cofactor resisted the configured factorization effort budget."""
+    """A cofactor resisted the rho step budget, DEFAULT_RHO_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,7 @@ def prime_count_upto(t) -> int:
     """pi(t): the number of primes not exceeding t (t may be rational)."""
     if t < 0:
         raise ValueError("bound must be non-negative")
-    if isinstance(t, float):
-        bound = int(t)
-    elif isinstance(t, Fraction):
-        bound = t.numerator // t.denominator
-    else:
-        bound = int(t)
+    bound = int(t)
     if bound < 2:
         return 0
     s = _sieve_through(bound)
@@ -142,14 +138,10 @@ def nth_odd_prime(i: int) -> int:
     """The i-th odd prime: 3, 5, 7, 11, ... for i = 1, 2, 3, 4, ..."""
     if i < 1:
         raise ValueError("index must be >= 1")
-    # Over-allocate: the (i+1)-th prime is below ~n(log n + log log n) + 16.
-    n = i + 1
-    guess = 16 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 16
-    while True:
-        s = _sieve_through(guess)
-        if len(s.primes) > i:
-            return s.primes[i]
-        guess *= 2
+    s = _sieve
+    while len(s.primes) <= i:
+        s = _sieve_through(2 * s.limit)
+    return s.primes[i]
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +207,35 @@ def _pollard_rho(n: int, budget: int, k: int = 2) -> tuple[int | None, int]:
     k = 2 is the classical map. An even k > 2 pays off when every prime
     factor q of n is 1 mod k: x^k then takes only (q - 1)/k + 1 values
     mod q, so the walk cycles about sqrt(k - 1) times sooner.
+    Each map evaluation is one step: the r that advance x, the batches
+    multiplied into q, the backtrack. The walk stops when the steps reach
+    the budget, and a batch cut short gets no gcd, so a call that finishes
+    within its budget returns what any larger budget returns.
     Returns (factor, steps_used); factor is None if the budget ran out.
     """
     steps = 0
     for c in range(1, 1000):
         y, r, q = 2, 1, 1
         g, ys, x = 1, 2, 2
-        while g == 1 and steps < budget:
+        while g == 1:
             x = y
-            for _ in range(r):
+            advance = min(r, budget - steps)
+            for _ in range(advance):
                 y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
+            steps += advance
             j = 0
             while j < r and g == 1:
                 ys = y
-                batch = min(128, r - j)
+                full = min(128, r - j)
+                batch = min(full, budget - steps)
                 for _ in range(batch):
                     y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
+                steps += batch
+                if batch < full:
+                    return None, steps
                 g = gcd(q, n)
                 j += batch
-                steps += batch
             r *= 2
         if g == n:
             g = 1
@@ -244,24 +245,18 @@ def _pollard_rho(n: int, budget: int, k: int = 2) -> tuple[int | None, int]:
                 steps += 1
         if 1 < g < n:
             return g, steps
-        if steps >= budget:
-            return None, steps
     return None, steps
 
 
 def _rho_step_cost(k: int) -> int:
-    """One step of x^k + c, charged in steps of x^2 + c: a power of two.
+    """One step of x^k + c, charged in steps of x^2 + c.
 
-    pow(y, k, n) squares about k.bit_length() - 1 times; measured with
-    CPython 3.11 on 11-40-digit cofactors, a step for k = 14..118 cost
-    3.4-5.9 steps of x^2 + c. The charge is the power of two at or above
-    k.bit_length() (4 or 8 there). It is a power of two because
-    ``_pollard_rho`` overshoots its budget to the end of a doubling
-    round: a budget B / 2^a then ends after 2^a times fewer steps than B
-    does, so a budget hit on x^k + c takes no longer than the same budget
-    spent on x^2 + c.
+    pow(y, k, n) squares k.bit_length() - 1 times and multiplies once per
+    further set bit; measured with CPython 3.11 on 11-40-digit cofactors,
+    a step for k = 14..118 cost 3.4-5.9 steps of x^2 + c. The charge
+    k.bit_length() (4-7 there) is at least that.
     """
-    return 1 if k == 2 else 1 << (k.bit_length() - 1).bit_length()
+    return 1 if k == 2 else k.bit_length()
 
 
 def _split_into(

@@ -28,7 +28,7 @@ from .search import (
     chain_search,
     verify_counts,
 )
-from .signature import EmptyChain, NotPrimitive, extract_signature, reconstruct
+from .signature import NotPrimitive, extract_signature, reconstruct
 
 PROG = "mps"
 
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     except NotPrimitive as exc:
         print(f"{PROG}: not primitive: {exc}", file=sys.stderr)
         return 1
-    except (EmptyChain, ValueError) as exc:
+    except ValueError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
     except FactorizationExhausted as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Optional, Sequence
 
 from .arithmetic import (
@@ -94,7 +93,7 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
 
     p1 is the smallest prime factor; after removing each full prime power,
     the next prime is the smallest p dividing the cofactor m with
-    nu_p(m) > nu_p(sigma(m)). Raises NotPrimitive when no chain exists.
+    nu_p(m) > nu_p(sigma(m)). Raises NotPrimitive when n is not primitive.
     """
     if n.value <= 1:
         raise ValueError("signature requires n > 1")
@@ -106,14 +105,12 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
     remaining = dict(n.factors[1:])
     # remaining keeps n's increasing prime order; sm is sigma of the unpeeled
     # cofactor m, and sigma is multiplicative, so peeling p^e off m divides
-    # sigma(p^e) out of sm exactly.
+    # sigma(p^e) out of sm exactly. The rule cannot stall: a stall would
+    # leave m | sigma(m), a unitary divisor 1 < m < n that is_primitive
+    # has already rejected.
     sm //= sigma_prime_power(*chain[0])
     while remaining:
-        nxt = next((p for p, e in remaining.items() if e > nu(p, sm)), None)
-        if nxt is None:
-            # Certifies m | sigma(m), i.e. a violating unitary divisor.
-            m = prod(p**e for p, e in remaining.items())
-            raise NotPrimitive(f"cofactor {m} of {n.value} divides its divisor sum")
+        nxt = next(p for p, e in remaining.items() if e > nu(p, sm))
         chain.append((nxt, remaining.pop(nxt)))
         sm //= sigma_prime_power(*chain[-1])
     return ChainSignature(

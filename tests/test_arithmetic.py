@@ -274,14 +274,52 @@ def _first_prime_one_mod(k, start):
 class TestPollardRho:
     def test_classical_map_steps_unchanged(self):
         # (factor, steps) of the x^2 + c walk, pinned so that the exponent
-        # argument cannot change what factorize does
-        assert _pollard_rho(1_000_003 * 1_000_033, 10**6) == (1_000_033, 511)
+        # argument cannot change what factorize does; every map evaluation
+        # is a step
+        assert _pollard_rho(1_000_003 * 1_000_033, 10**6) == (1_000_033, 1022)
         assert _pollard_rho(1_000_000_007 * 2_000_000_011, 10**6) == (
             1_000_000_007,
-            27647,
+            60414,
         )
-        assert _pollard_rho(2**64 + 1, 10**6) == (274177, 895)
-        assert _pollard_rho(1_000_003 * 1_000_033, 100) == (None, 127)
+        assert _pollard_rho(2**64 + 1, 10**6) == (274177, 1918)
+
+    def test_stops_at_the_budget(self):
+        assert _pollard_rho(1_000_003 * 1_000_033, 100) == (None, 100)
+        assert _pollard_rho(1_000_003 * 1_000_033, 0) == (None, 0)
+
+    def test_every_map_evaluation_is_a_step(self, monkeypatch):
+        # x^k + c with k > 2 calls pow once per evaluation, and rho calls
+        # pow nowhere else
+        calls = []
+
+        def counting_pow(y, k, n):
+            calls.append(k)
+            return pow(y, k, n)
+
+        monkeypatch.setattr(arithmetic, "pow", counting_pow, raising=False)
+        n = _first_prime_one_mod(74, 10**9) * _first_prime_one_mod(74, 10**10)
+        for budget in (10**6, 300):
+            calls.clear()
+            _, steps = _pollard_rho(n, budget, 74)
+            assert steps == len(calls) <= budget
+
+    @PROPERTY
+    @given(
+        st.sampled_from([2, 4, 14, 26, 74]),
+        st.integers(10**3, 10**7),
+        st.integers(10**3, 10**7),
+        st.integers(0, 5000),
+    )
+    def test_budget_only_cuts_the_walk(self, k, start1, start2, budget):
+        # A budget below the steps a walk needs stops it there, with no
+        # factor; any other budget leaves it as it is. The budgets one
+        # either side of the need check a batch cut by a single step.
+        n = _first_prime_one_mod(k, start1) * _first_prime_one_mod(k, start2)
+        full = _pollard_rho(n, 10**6, k)
+        need = full[1]
+        for b in (budget, need - 1, need):
+            expected = full if b >= need else (None, b)
+            assert _pollard_rho(n, b, k) == expected
 
     @pytest.mark.parametrize("k", [4, 14, 26, 74])
     def test_power_map_splits_primes_one_mod_k(self, k):
@@ -331,13 +369,11 @@ class TestFactoredSigmaPrimePower:
         with pytest.raises(FactorizationExhausted):
             factored_sigma_prime_power.__wrapped__(3, 58)
 
-    def test_step_cost_is_a_power_of_two_at_or_above_bit_length(self):
+    def test_step_cost_is_the_bit_length(self):
         assert _rho_step_cost(2) == 1
-        assert _rho_step_cost(74) == 8
-        for k in range(4, 1000, 2):
-            cost = _rho_step_cost(k)
-            assert cost & (cost - 1) == 0
-            assert k.bit_length() <= cost < 2 * k.bit_length()
+        assert _rho_step_cost(14) == 4
+        assert _rho_step_cost(74) == 7
+        assert _rho_step_cost(118) == 7
 
     def test_budget_is_charged_by_step_cost(self, monkeypatch):
         # sigma(17^36) = Phi_37(17) is one piece, walked with x^74 + c
@@ -351,4 +387,4 @@ class TestFactoredSigmaPrimePower:
         monkeypatch.setattr(arithmetic, "_pollard_rho", spy)
         with pytest.raises(FactorizationExhausted):
             factored_sigma_prime_power.__wrapped__(17, 36)
-        assert calls == [(8000 // _rho_step_cost(74), 74)]
+        assert calls == [(8000 // 7, 74)]

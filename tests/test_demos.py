@@ -1,0 +1,31 @@
+"""Every script under demos/ runs to completion and prints something.
+
+Each demo runs in a fresh interpreter with src/ on PYTHONPATH, so it
+imports the package of this checkout.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    # an empty parametrize list would pass without running anything
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
