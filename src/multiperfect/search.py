@@ -1,18 +1,19 @@
 """Exhaustive enumeration of alpha-perfect numbers below a limit.
 
-Two independent routes. ``brute_scan`` sieves divisor sums over fixed-size
-blocks with paired-divisor accumulation and tests sigma(n)/n = alpha
-directly; it is the oracle. ``chain_search`` walks one tree of signature
-chains (p1, e1, ..., es) with s <= r: after the free choice of p1 and each
-exponent, the next prime is forced by the chain rule (``ChainRule``), so
-walking all exponent ladders visits every primitive alpha-perfect number
-up to the limit with at most r distinct primes. Four exact rules cut the
-ladders without visiting children or factoring their sigma(p^e), each
-only where no solution can lie below: mandatory primes (their count and
-product), the abundancy ladder, the abundancy ceiling and the unmatched
-large prime; the walker ``_Walk`` carries the proofs.
-Every number either route reports is re-verified by an exact sigma
-computation on its factorization.
+Two independent routes. ``brute_scan`` sieves divisor sums mod 2^16 over
+fixed-size blocks with paired-divisor accumulation; each n that meets
+sigma(n)/n = alpha modulo 2^16 is a candidate, and an exact sigma of its
+factorization decides. It is the oracle. ``chain_search`` walks one tree
+of signature chains (p1, e1, ..., es) with s <= r: after the free choice
+of p1 and each exponent, the next prime is forced by the chain rule
+(``ChainRule``), so walking all exponent ladders visits every primitive
+alpha-perfect number up to the limit with at most r distinct primes. Four
+exact rules cut the ladders without visiting children or factoring their
+sigma(p^e), each only where no solution can lie below: mandatory primes
+(their count and product), the abundancy ladder, the abundancy ceiling and
+the unmatched large prime; the walker ``_Walk`` carries the proofs. Every
+number either route reports has passed an exact sigma computation on its
+factorization.
 """
 
 from __future__ import annotations
@@ -137,13 +138,10 @@ class SearchReport:
 # Blocked divisor-sum sieve (the oracle route)
 # ---------------------------------------------------------------------------
 
-def _meets(target: Fraction | None, sig, n):
-    """sigma(n) = target*n, or an integer multiple >= 2 of n for target None.
-
-    Works elementwise on the sieve's arrays and on exact ints alike.
-    """
+def _meets(target: Fraction | None, sig: int, n: int) -> bool:
+    """sigma(n) = target*n, or an integer multiple >= 2 of n for target None."""
     if target is None:
-        return (sig % n == 0) & (sig >= 2 * n)
+        return sig % n == 0 and sig >= 2 * n
     return target.denominator * sig == target.numerator * n
 
 
@@ -153,8 +151,11 @@ def _run_blocks(
     """Sieve candidates n <= limit for target, block by block, unsorted."""
     # numpy loads with the kernel here, before _map forks any pool worker.
     from ._blocks import _scan_block
+    # The kernel's integer test, sigma(n) = k*n (mod 2^16) for k in 2..6,
+    # holds every solution only while sigma(n) < 7n, true below 1.97e24;
+    # this guard keeps 7*limit far inside that.
     num, den = (1, 1) if target is None else (target.numerator, target.denominator)
-    if num * limit >= 1 << 62 or den * 7 * limit >= 1 << 62:
+    if max(num, 7 * den) * limit >= 1 << 62:
         raise ValueError("alpha times limit exceeds the exact range of the sieve")
     tasks = [
         (lo, min(lo + block_size, limit + 1), target)
@@ -170,16 +171,15 @@ def _sieve_scan(
     worker_count: int,
     block_size: int,
 ) -> list[FactoredInteger]:
-    """Sieve, then re-verify each candidate through sigma of its factorization."""
+    """Sieve candidates mod 2^16, then keep those whose exact sigma meets target."""
     _check_args(target, limit, parity, worker_count)
     out = []
     for n in sorted(_run_blocks(limit, target, worker_count, block_size)):
         if parity == "odd_only" and n % 2 == 0:
             continue
         fi = factorize(n)
-        if not _meets(target, sigma(fi), n):
-            raise AssertionError(f"sieve candidate {n} failed sigma re-verification")
-        out.append(fi)
+        if _meets(target, sigma(fi), n):
+            out.append(fi)
     return out
 
 
@@ -193,8 +193,8 @@ def brute_scan(
 ) -> list[FactoredInteger]:
     """All n <= limit of the requested parity with sigma(n)/n = alpha.
 
-    Sieve candidates are re-verified one by one through an independent
-    sigma computation on the factorization before being reported.
+    Sieve candidates, which match alpha only modulo 2^16, are decided one
+    by one through an independent sigma computation on the factorization.
     """
     return _sieve_scan(Fraction(alpha), limit, parity, worker_count, block_size)
 

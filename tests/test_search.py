@@ -76,6 +76,26 @@ class TestBruteScan:
         parallel = brute_scan(Fraction(3), 10**6, worker_count=4, block_size=1 << 16)
         assert [f.value for f in serial] == [f.value for f in parallel]
 
+    @pytest.mark.parametrize(
+        "scan, found",
+        [
+            (lambda limit, **kw: brute_scan(Fraction(3), limit, **kw), [120, 672, 523776]),
+            (multiperfect_scan, [6, 28, 120, 496, 672, 8128, 30240, 32760, 523776, 2178540]),
+        ],
+        ids=["alpha-3", "any-integer"],
+    )
+    def test_any_block_size_gives_the_same_sets(self, scan, found):
+        # The ramp is built per block length: blocks past the default 2^20,
+        # tiny blocks and short tails all sieve the same sets.
+        def values(limit, **kw):
+            return [f.value for f in scan(limit, **kw)]
+
+        assert values(5 * 10**6) == found
+        assert values(5 * 10**6, block_size=1 << 21) == found
+        assert values(5 * 10**6, worker_count=4) == found
+        small = [n for n in found if n <= 10**4]
+        assert values(10**4, block_size=97) == values(10**4, block_size=1 << 21) == small
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_worker_count_must_be_positive(self, workers):
         with pytest.raises(ValueError, match="worker_count must be >= 1"):
