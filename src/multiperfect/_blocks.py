@@ -1,10 +1,9 @@
 """The sieve's block kernel, the one user of numpy; loaded by the first sieve.
 
 Each block is sieved in uint16, which wraps, so it holds sigma(n) mod 2^16
-exactly at any limit. A candidate meets den*sigma(n) = num*n (mod 2^16), or
-for an integer abundancy sigma(n) = k*n (mod 2^16) with k in 2..6, as
-sigma(n) < 7n below 1.97e24 (OEIS A023199). Equality implies congruence, so
-the candidates hold every solution; the caller's exact test drops the rest.
+exactly at any limit. A candidate meets den*sigma(n) = num*n (mod 2^16) for
+at least one target abundancy num/den. Equality implies congruence, so the
+candidates hold every solution; the caller's exact test drops the rest.
 """
 
 from math import isqrt
@@ -39,13 +38,11 @@ def _sigma_block(lo: int, hi: int) -> np.ndarray:
 
 
 def _scan_block(task) -> list[int]:
-    """The n in [lo, hi) whose sigma(n) mod 2^16 meets target's congruence."""
-    lo, hi, target = task
+    """The n in [lo, hi) whose sigma(n) mod 2^16 meets some target's congruence."""
+    lo, hi, targets = task
     sig, n = _sigma_block(lo, hi), _ramp(hi - lo)[lo % M : lo % M + hi - lo]
-    if target is None:
-        hit = sig == 2 * n
-        for k in range(3, 7):
-            hit |= sig == k * n
-    else:
-        hit = sig * (target.denominator % M) == n * (target.numerator % M)
+    hits = (sig * (t.denominator % M) == n * (t.numerator % M) for t in targets)
+    hit = next(hits)
+    for more in hits:
+        hit |= more
     return (np.flatnonzero(hit) + lo).tolist()

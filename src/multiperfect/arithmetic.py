@@ -300,10 +300,6 @@ def _split_into(
     return budget
 
 
-def _generic_trial_primes(n: int) -> tuple[int, ...]:
-    return primes_upto(min(TRIAL_DIVISION_LIMIT, isqrt(n) + 1))
-
-
 def factorize(n: int) -> FactoredInteger:
     """Factor n >= 1 into a FactoredInteger.
 
@@ -316,7 +312,7 @@ def factorize(n: int) -> FactoredInteger:
         raise ValueError(f"cannot factor {n}; expected n >= 1")
     found: dict[int, int] = {}
     if n > 1:
-        _split_into(n, found, DEFAULT_RHO_BUDGET, _generic_trial_primes(n), 2, n)
+        _split_into(n, found, DEFAULT_RHO_BUDGET, _primes_one_mod(1), 2, n)
     return FactoredInteger(n, tuple(sorted(found.items())))
 
 
@@ -394,9 +390,21 @@ def _cyclotomic_pieces(p: int, n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _primes_one_mod(k: int) -> tuple[int, ...]:
-    """Primes q <= TRIAL_DIVISION_LIMIT with q = 1 (mod k), ascending."""
+    """Primes q <= TRIAL_DIVISION_LIMIT with q = 1 (mod k), ascending.
+
+    k = 1 gives all of them, the trial primes of factorize, as a slice of
+    the sieve's tuple: its int objects are shared, not built again.
+    """
+    if k == 1:
+        return primes_upto(TRIAL_DIVISION_LIMIT)
     marks = _sieve_through(TRIAL_DIVISION_LIMIT).marks[: TRIAL_DIVISION_LIMIT + 1]
     return tuple(compress(range(k + 1, len(marks), k), marks[k + 1 :: k]))
+
+
+# The budget-hit message of each sigma(p^e) that resisted rho, keyed by
+# (p, e, DEFAULT_RHO_BUDGET): lru_cache stores no exception, and a repeat
+# would spend the whole budget again to fail the same way.
+_exhausted: dict[tuple[int, int, int], str] = {}
 
 
 @lru_cache(maxsize=200_000)
@@ -412,16 +420,25 @@ def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
     x^2 + c steps covers all pieces, each step charged by its cost in such
     steps, so a budget hit takes no longer than on the unsplit value.
     Exponents are merged across pieces: a prime of e + 1 can divide two.
+    A budget hit raises the same FactorizationExhausted on every repeat,
+    without factoring again.
     """
+    key = (p, e, DEFAULT_RHO_BUDGET)
+    if key in _exhausted:
+        raise FactorizationExhausted(_exhausted[key])
     value = sigma_prime_power(p, e)
     found: dict[int, int] = {}
     budget = DEFAULT_RHO_BUDGET
-    for d, piece in _cyclotomic_pieces(p, e + 1):
-        for q in primes_upto(d):
-            if d % q == 0:
-                while piece % q == 0:
-                    found[q] = found.get(q, 0) + 1
-                    piece //= q
-        k = d if d % 2 == 0 else 2 * d
-        budget = _split_into(piece, found, budget, _primes_one_mod(k), k, value)
+    try:
+        for d, piece in _cyclotomic_pieces(p, e + 1):
+            for q in primes_upto(d):
+                if d % q == 0:
+                    while piece % q == 0:
+                        found[q] = found.get(q, 0) + 1
+                        piece //= q
+            k = d if d % 2 == 0 else 2 * d
+            budget = _split_into(piece, found, budget, _primes_one_mod(k), k, value)
+    except FactorizationExhausted as exc:
+        _exhausted[key] = str(exc)
+        raise
     return FactoredInteger(value, tuple(sorted(found.items()))).factors

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -76,24 +77,13 @@ class Interval:
 
 
 def _decimal_str(value: Fraction, digits: int, up: bool) -> str:
+    """value to digits significant digits, rounded up or down, as d.dde+XX."""
     if value == 0:
         return "0"
-    sign = "-" if value < 0 else ""
-    v = -value if value < 0 else value
-    exp = len(str(v.numerator // v.denominator)) - 1 if v >= 1 else 0
-    if v < 1:
-        t = v
-        while t < 1:
-            t *= 10
-            exp -= 1
-    scaled = v * Fraction(10) ** (digits - 1 - exp)
-    n, d = scaled.numerator, scaled.denominator
-    mant = -((-n) // d) if up != (value < 0) else n // d
-    if len(str(mant)) > digits:  # rounding crossed a power of ten
-        exp += 1
-        mant = int(str(mant)[:digits]) + (1 if up != (value < 0) else 0)
-    s = str(mant)
-    return f"{sign}{s[0]}.{s[1:]}e{exp:+03d}"
+    context = Context(prec=digits, rounding=ROUND_CEILING if up else ROUND_FLOOR)
+    q = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+    mantissa, exp = f"{q:.{digits - 1}e}".split("e")
+    return f"{mantissa}e{int(exp):+03d}"
 
 
 def _mpf_fraction(raw) -> Fraction:

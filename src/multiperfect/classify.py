@@ -96,45 +96,32 @@ def is_primitive(n: FactoredInteger) -> bool:
     return all(s % d for d, s in _unitary_sigma_pairs(n) if 1 < d < n.value)
 
 
-def _remove_unitary(n: FactoredInteger, d: FactoredInteger) -> FactoredInteger:
-    removed = {p for p, _ in d.factors}
-    return FactoredInteger(
-        n.value // d.value,
-        tuple((p, e) for p, e in n.factors if p not in removed),
-    )
-
-
 def primitive_decomposition(n: FactoredInteger) -> PrimitiveDecomposition:
     """Peel the smallest qualifying unitary divisor until none remains.
 
     At each step the smallest d with 1 < d < cofactor, d unitary in the
     cofactor, and d | sigma(d) is split off; its multiplier is sigma(d)/d.
-    The loop ends when the cofactor has no such divisor (always reached:
-    each step strictly shrinks the cofactor).
+    The unitary divisors of a cofactor are those of n coprime to what was
+    peeled, so one ascending pass over n's finds every step: a divisor
+    passed over stays passed over, as the cofactor only shrinks.
     """
     parts: list[FactoredInteger] = []
     multipliers: list[int] = []
-    cofactor = n
-    while True:
-        best = min(
-            (
-                (d, s)
-                for d, s in _unitary_sigma_pairs(cofactor)
-                if 1 < d < cofactor.value and s % d == 0
-            ),
-            default=None,
-        )
-        if best is None:
+    rest = n.value
+    for d, s in sorted(_unitary_sigma_pairs(n)):
+        if d >= rest:
             break
-        d, s = best
-        # Only the peeled part becomes a FactoredInteger; d is unitary, so
-        # its primes are exactly the cofactor's primes that divide it.
-        part = FactoredInteger(
-            d, tuple((p, e) for p, e in cofactor.factors if d % p == 0)
-        )
-        parts.append(part)
-        multipliers.append(s // d)
-        cofactor = _remove_unitary(cofactor, part)
+        if d > 1 and s % d == 0 and gcd(d, n.value // rest) == 1:
+            # d is unitary, so its primes are exactly n's primes dividing it.
+            parts.append(
+                FactoredInteger(d, tuple((p, e) for p, e in n.factors if d % p == 0))
+            )
+            multipliers.append(s // d)
+            rest //= d
+    # A new FactoredInteger tests its primes again; a primitive n needs none.
+    cofactor = n if rest == n.value else FactoredInteger(
+        rest, tuple((p, e) for p, e in n.factors if rest % p == 0)
+    )
     leftover_alpha = abundancy(cofactor)
     leftover_mp = leftover_alpha.denominator == 1 and leftover_alpha >= 2
     return PrimitiveDecomposition(

@@ -15,12 +15,12 @@ import os
 import re
 import sys
 import traceback
-from decimal import ROUND_CEILING, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
 from .arithmetic import FactorizationExhausted, FactoredInteger, factorize
-from .bounds import bound_report
+from .bounds import _decimal_str, bound_report
 from .classify import classify, is_primitive, primitive_decomposition
 from .search import (
     SearchParams,
@@ -31,8 +31,6 @@ from .search import (
 from .signature import NotPrimitive, extract_signature, reconstruct
 
 PROG = "mps"
-
-_CEILING_16 = Context(prec=16, rounding=ROUND_CEILING)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +157,7 @@ def _shorten(digits: str) -> str:
     up so that a printed upper bound stays an upper bound."""
     if len(digits) <= 20:
         return digits
-    return f"{_CEILING_16.plus(Decimal(digits)):.15e}"
+    return _decimal_str(Fraction(Decimal(digits)), 16, up=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Exhaustive enumeration of alpha-perfect numbers below a limit.
 
 Two independent routes. ``brute_scan`` sieves divisor sums mod 2^16 over
-fixed-size blocks with paired-divisor accumulation; each n that meets
-sigma(n)/n = alpha modulo 2^16 is a candidate, and an exact sigma of its
-factorization decides. It is the oracle. ``chain_search`` walks one tree
-of signature chains (p1, e1, ..., es) with s <= r: after the free choice
-of p1 and each exponent, the next prime is forced by the chain rule
-(``ChainRule``), so walking all exponent ladders visits every primitive
-alpha-perfect number up to the limit with at most r distinct primes. Four
-exact rules cut the ladders without visiting children or factoring their
-sigma(p^e), each only where no solution can lie below: mandatory primes
-(their count and product), the abundancy ladder, the abundancy ceiling and
-the unmatched large prime; the walker ``_Walk`` carries the proofs. Every
+fixed-size blocks with paired-divisor accumulation, for a tuple of target
+abundancies: alpha alone, or for ``multiperfect_scan`` the integers 2..6.
+Each n whose sigma(n)/n meets a target modulo 2^16 is a candidate, and an
+exact sigma of its factorization decides. It is the oracle.
+``chain_search`` walks one tree of signature chains (p1, e1, ..., es) with
+s <= r: after the free choice of p1 and each exponent, the next prime is
+forced by the chain rule (``ChainRule``), so walking all exponent ladders
+visits every primitive alpha-perfect number up to the limit with at most r
+distinct primes. Four exact rules cut the ladders without visiting
+children or factoring their sigma(p^e), each only where no solution can
+lie below: mandatory primes (their count and product), the abundancy
+ladder, the abundancy ceiling and the unmatched large prime; the walker
+``_Walk`` carries the proofs. Every
 number either route reports has passed an exact sigma computation on its
 factorization.
 """
@@ -25,6 +27,7 @@ from functools import cache
 from math import gcd, prod
 
 from .arithmetic import (
+    _primes_one_mod,
     FactoredInteger,
     factored_sigma_prime_power,
     factorize,
@@ -40,6 +43,11 @@ from .classify import is_primitive
 from .signature import ChainRule
 
 DEFAULT_BLOCK_SIZE = 1 << 20
+
+# sigma(n) < 7n for every n below 1.97e24 (OEIS A023199), so an integer
+# abundancy there is one of these; the sieve's guard, 7*limit < 2^62, keeps
+# multiperfect_scan far inside that range.
+INTEGER_ABUNDANCIES = tuple(Fraction(k) for k in range(2, 7))
 
 # The unmatched-large-prime cut trial-divides sigma(p^e) by every prime up
 # to the room a child leaves, so it runs only where that room is small.
@@ -62,10 +70,10 @@ PRUNE_RULES = (
 
 
 def _check_args(
-    alpha: Fraction | None, limit: int, parity: str, worker_count: int
+    targets: tuple[Fraction, ...], limit: int, parity: str, worker_count: int
 ) -> None:
-    """The checks every search makes; alpha None means any integer abundancy."""
-    if alpha is not None and alpha <= 1:
+    """The checks every search makes, for its target abundancies."""
+    if min(targets) <= 1:
         raise ValueError("alpha must exceed 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -95,7 +103,7 @@ class SearchParams:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        _check_args(self.alpha, self.limit, self.parity, self.worker_count)
+        _check_args((self.alpha,), self.limit, self.parity, self.worker_count)
         if self.max_omega < 1:
             raise ValueError("max_omega must be >= 1")
 
@@ -138,75 +146,51 @@ class SearchReport:
 # Blocked divisor-sum sieve (the oracle route)
 # ---------------------------------------------------------------------------
 
-def _meets(target: Fraction | None, sig: int, n: int) -> bool:
-    """sigma(n) = target*n, or an integer multiple >= 2 of n for target None."""
-    if target is None:
-        return sig % n == 0 and sig >= 2 * n
-    return target.denominator * sig == target.numerator * n
-
-
 def _run_blocks(
-    limit: int, target: Fraction | None, worker_count: int, block_size: int
+    limit: int, targets: tuple[Fraction, ...], worker_count: int
 ) -> list[int]:
-    """Sieve candidates n <= limit for target, block by block, unsorted."""
+    """Sieve candidates n <= limit for targets, block by block, ascending."""
     # numpy loads with the kernel here, before _map forks any pool worker.
     from ._blocks import _scan_block
-    # The kernel's integer test, sigma(n) = k*n (mod 2^16) for k in 2..6,
-    # holds every solution only while sigma(n) < 7n, true below 1.97e24;
-    # this guard keeps 7*limit far inside that.
-    num, den = (1, 1) if target is None else (target.numerator, target.denominator)
-    if max(num, 7 * den) * limit >= 1 << 62:
-        raise ValueError("alpha times limit exceeds the exact range of the sieve")
+    # The bound INTEGER_ABUNDANCIES relies on; a rational target needs none.
+    if 7 * limit >= 1 << 62:
+        raise ValueError("limit exceeds the exact range of the sieve")
     tasks = [
-        (lo, min(lo + block_size, limit + 1), target)
-        for lo in range(1, limit + 1, block_size)
+        (lo, min(lo + DEFAULT_BLOCK_SIZE, limit + 1), targets)
+        for lo in range(1, limit + 1, DEFAULT_BLOCK_SIZE)
     ]
     return [n for chunk in _map(_scan_block, tasks, worker_count, 1) for n in chunk]
 
 
 def _sieve_scan(
-    target: Fraction | None,
-    limit: int,
-    parity: str,
-    worker_count: int,
-    block_size: int,
+    targets: tuple[Fraction, ...], limit: int, parity: str, worker_count: int
 ) -> list[FactoredInteger]:
-    """Sieve candidates mod 2^16, then keep those whose exact sigma meets target."""
-    _check_args(target, limit, parity, worker_count)
+    """Sieve candidates mod 2^16, then keep those whose exact abundancy is a target."""
+    _check_args(targets, limit, parity, worker_count)
     out = []
-    for n in sorted(_run_blocks(limit, target, worker_count, block_size)):
+    for n in _run_blocks(limit, targets, worker_count):
         if parity == "odd_only" and n % 2 == 0:
             continue
         fi = factorize(n)
-        if _meets(target, sigma(fi), n):
+        if Fraction(sigma(fi), n) in targets:
             out.append(fi)
     return out
 
 
 def brute_scan(
-    alpha: Fraction,
-    limit: int,
-    parity: str = "any",
-    *,
-    worker_count: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    alpha: Fraction, limit: int, parity: str = "any", *, worker_count: int = 1
 ) -> list[FactoredInteger]:
     """All n <= limit of the requested parity with sigma(n)/n = alpha.
 
     Sieve candidates, which match alpha only modulo 2^16, are decided one
     by one through an independent sigma computation on the factorization.
     """
-    return _sieve_scan(Fraction(alpha), limit, parity, worker_count, block_size)
+    return _sieve_scan((Fraction(alpha),), limit, parity, worker_count)
 
 
-def multiperfect_scan(
-    limit: int,
-    *,
-    worker_count: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> list[FactoredInteger]:
+def multiperfect_scan(limit: int, *, worker_count: int = 1) -> list[FactoredInteger]:
     """All n <= limit whose abundancy sigma(n)/n is an integer >= 2."""
-    return _sieve_scan(None, limit, "any", worker_count, block_size)
+    return _sieve_scan(INTEGER_ABUNDANCIES, limit, "any", worker_count)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +226,8 @@ def _ceiling_steps(
 
 def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     """Whether s has a prime factor above room that does not divide matched."""
-    for q in _small_primes():
+    # All primes up to TRIAL_DIVISION_LIMIT, which room (<= SMALL_ROOM) is below.
+    for q in _primes_one_mod(1):
         if q > room or q * q > s:
             break
         while s % q == 0:
@@ -253,12 +238,6 @@ def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
     while (g := gcd(s, matched)) > 1:
         s //= g
     return s > 1
-
-
-@cache
-def _small_primes() -> tuple[int, ...]:
-    """The primes up to SMALL_ROOM, one tuple for every unmatched-prime test."""
-    return primes_upto(SMALL_ROOM)
 
 
 @cache

@@ -369,6 +369,25 @@ class TestFactoredSigmaPrimePower:
         with pytest.raises(FactorizationExhausted):
             factored_sigma_prime_power.__wrapped__(3, 58)
 
+    def test_budget_hit_is_remembered(self, monkeypatch):
+        # __wrapped__ skips successes other tests left in the lru_cache
+        monkeypatch.setattr(arithmetic, "_exhausted", {})
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 0)
+        with pytest.raises(FactorizationExhausted) as first:
+            factored_sigma_prime_power.__wrapped__(3, 58)
+
+        def refuse(n, budget, k=2):
+            raise AssertionError("rho called again")
+
+        monkeypatch.setattr(arithmetic, "_pollard_rho", refuse)
+        with pytest.raises(FactorizationExhausted) as again:
+            factored_sigma_prime_power.__wrapped__(3, 58)
+        assert str(again.value) == str(first.value)
+        # A failure holds for its budget only: another budget factors anew.
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 10)
+        with pytest.raises(AssertionError, match="rho called again"):
+            factored_sigma_prime_power.__wrapped__(3, 58)
+
     def test_step_cost_is_the_bit_length(self):
         assert _rho_step_cost(2) == 1
         assert _rho_step_cost(14) == 4
@@ -385,6 +404,7 @@ class TestFactoredSigmaPrimePower:
 
         monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 8000)
         monkeypatch.setattr(arithmetic, "_pollard_rho", spy)
+        monkeypatch.setattr(arithmetic, "_exhausted", {})
         with pytest.raises(FactorizationExhausted):
             factored_sigma_prime_power.__wrapped__(17, 36)
         assert calls == [(8000 // 7, 74)]

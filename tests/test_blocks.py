@@ -7,20 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 import multiperfect._blocks as blocks
 from multiperfect.arithmetic import factorize, sigma
-from multiperfect.search import _meets
+from multiperfect.search import INTEGER_ABUNDANCIES
 
 # A scalar overflow in the square correction would only warn; make it fail.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 M = 1 << 16
 
-# Mod 2^16, 65536/3 has num = 0 and 65537/65536 has den = 1; None is any integer.
+# Mod 2^16, 65536/3 has num = 0 and 65537/65536 has den = 1.
 TARGETS = {
-    "2": Fraction(2),
-    "9/5": Fraction(9, 5),
-    "65536/3": Fraction(65536, 3),
-    "65537/65536": Fraction(65537, 65536),
-    "any-integer": None,
+    "2": (Fraction(2),),
+    "9/5": (Fraction(9, 5),),
+    "65536/3": (Fraction(65536, 3),),
+    "65537/65536": (Fraction(65537, 65536),),
+    "any-integer": INTEGER_ABUNDANCIES,
 }
 
 # Every n in 2..2e8 with an integer abundancy (OEIS A007691), and 10 (9/5).
@@ -58,12 +58,12 @@ class TestSigmaBlock:
 
 
 class TestCandidates:
-    @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+    @pytest.mark.parametrize("targets", TARGETS.values(), ids=TARGETS.keys())
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(bounds=block_bounds())
-    def test_candidates_hold_every_solution(self, target, bounds):
+    def test_candidates_hold_every_solution(self, targets, bounds):
         lo, hi = bounds
-        got = blocks._scan_block((lo, hi, target))
+        got = blocks._scan_block((lo, hi, targets))
         assert got == sorted(set(got)) and all(lo <= n < hi for n in got)
         sigmas = zip(range(lo, hi), _exact(lo, hi))
-        assert {n for n, s in sigmas if _meets(target, s, n)} <= set(got)
+        assert {n for n, s in sigmas if Fraction(s, n) in targets} <= set(got)

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import multiperfect.bounds as bounds
@@ -57,6 +58,55 @@ class TestInterval:
         lo, hi = box.decimal(10)
         assert lo == "3.333333333e-01"
         assert hi == "3.333333334e-01"
+
+
+def decimal_oracle(value: Fraction, digits: int, up: bool) -> Fraction:
+    """value rounded up or down to digits significant digits, exactly."""
+    exp = 0
+    while abs(value) >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while abs(value) < Fraction(10) ** exp:
+        exp -= 1
+    unit = Fraction(10) ** (exp - digits + 1)
+    return (math.ceil(value / unit) if up else math.floor(value / unit)) * unit
+
+
+# Anywhere, or within 10^-22 of a power of ten, where rounding up can carry
+# into a new leading digit.
+DECIMAL_VALUES = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(-(10**40), 10**40).filter(bool),
+        st.integers(1, 10**12),
+    ),
+    st.builds(
+        lambda k, off, sign: sign * (Fraction(10) ** k + Fraction(off, 10**25)),
+        st.integers(-10, 40),
+        st.integers(-1000, 1000),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+class TestDecimalStr:
+    @pytest.mark.parametrize("digits", [3, 5, 20])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value=DECIMAL_VALUES)
+    def test_rounds_outward_to_digits(self, digits, value):
+        for up in (False, True):
+            text = bounds._decimal_str(value, digits, up)
+            mantissa, exp = text.split("e")
+            digits_shown = mantissa.lstrip("-").replace(".", "")
+            assert len(digits_shown) == digits and digits_shown[0] != "0"
+            assert len(exp) >= 3 and exp[0] in "+-"
+            got = Fraction(mantissa) * Fraction(10) ** int(exp)
+            assert got == decimal_oracle(value, digits, up)
+
+    def test_carry_into_a_power_of_ten_is_tight(self):
+        value = Fraction(1741136745571573582503943244905461571, 174115)
+        assert bounds._decimal_str(value, 5, True) == "1.0000e+31"
+        assert bounds._decimal_str(value, 5, False) == "9.9999e+30"
+        assert bounds._decimal_str(-value, 5, False) == "-1.0000e+31"
 
 
 class TestCountCoefficient:

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multiperfect.arithmetic as arithmetic
 import multiperfect.search as search
 from multiperfect.arithmetic import (
     factored_sigma_prime_power,
@@ -66,14 +67,16 @@ class TestBruteScan:
         assert [f.value for f in brute_scan(Fraction(9, 5), 100)] == [10]
         assert brute_scan(Fraction(9, 5), 100, "odd_only") == []
 
-    def test_block_boundaries(self):
+    def test_block_boundaries(self, monkeypatch):
         # tiny blocks force every splitting edge case
-        got = [f.value for f in brute_scan(Fraction(2), 10**4, block_size=97)]
+        monkeypatch.setattr(search, "DEFAULT_BLOCK_SIZE", 97)
+        got = [f.value for f in brute_scan(Fraction(2), 10**4)]
         assert got == [6, 28, 496, 8128]
 
-    def test_workers_match_serial(self):
-        serial = brute_scan(Fraction(3), 10**6, worker_count=1, block_size=1 << 16)
-        parallel = brute_scan(Fraction(3), 10**6, worker_count=4, block_size=1 << 16)
+    def test_workers_match_serial(self, monkeypatch):
+        monkeypatch.setattr(search, "DEFAULT_BLOCK_SIZE", 1 << 16)
+        serial = brute_scan(Fraction(3), 10**6, worker_count=1)
+        parallel = brute_scan(Fraction(3), 10**6, worker_count=4)
         assert [f.value for f in serial] == [f.value for f in parallel]
 
     @pytest.mark.parametrize(
@@ -84,10 +87,11 @@ class TestBruteScan:
         ],
         ids=["alpha-3", "any-integer"],
     )
-    def test_any_block_size_gives_the_same_sets(self, scan, found):
+    def test_any_block_size_gives_the_same_sets(self, monkeypatch, scan, found):
         # The ramp is built per block length: blocks past the default 2^20,
         # tiny blocks and short tails all sieve the same sets.
-        def values(limit, **kw):
+        def values(limit, block_size=search.DEFAULT_BLOCK_SIZE, **kw):
+            monkeypatch.setattr(search, "DEFAULT_BLOCK_SIZE", block_size)
             return [f.value for f in scan(limit, **kw)]
 
         assert values(5 * 10**6) == found
@@ -101,9 +105,17 @@ class TestBruteScan:
         with pytest.raises(ValueError, match="worker_count must be >= 1"):
             brute_scan(Fraction(2), 10**4, worker_count=workers)
 
-    def test_overflow_guard(self):
-        with pytest.raises(ValueError):
-            brute_scan(Fraction(2**62, 3), 10**6)
+    def test_overflow_guard(self, monkeypatch):
+        # The kernel reduces num and den mod 2^16, so a large alpha is exact;
+        # the one guard is on the limit, and it fires before any block.
+        assert brute_scan(Fraction(2**62, 3), 10**6) == []
+
+        def no_blocks(*args):
+            raise AssertionError("a block was sieved")
+
+        monkeypatch.setattr(search, "_map", no_blocks)
+        with pytest.raises(ValueError, match="limit exceeds"):
+            brute_scan(2, 2**62 // 7 + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -273,6 +285,34 @@ class TestChainSearch:
         assert report.incomplete_branches
         # 523776 = 2^9 * 3 * 11 * 31 sits past the poisoned prime
         assert 523776 not in {f.number.value for f in report.found}
+
+    def test_budget_hits_are_remembered(self, monkeypatch):
+        # A repeated sigma(p^e) budget hit re-raises from the negative cache:
+        # the walk cuts the same branches, with fewer rho calls.
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        calls = []
+        real = arithmetic._pollard_rho
+
+        def counting(n, budget, k=2):
+            calls.append(n)
+            return real(n, budget, k)
+
+        monkeypatch.setattr(arithmetic, "_pollard_rho", counting)
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 100)
+        params = SearchParams(Fraction(2), 12, 10**30, "odd_only")
+        runs = []
+        for failures in (Forgetful(), {}):
+            monkeypatch.setattr(arithmetic, "_exhausted", failures)
+            factored_sigma_prime_power.cache_clear()
+            calls.clear()
+            report = chain_search(params)
+            runs.append((report.incomplete_branches, len(calls)))
+        (forgetful, forgetful_rho), (remembered, remembered_rho) = runs
+        assert remembered == forgetful and len(remembered) == 13
+        assert remembered_rho < forgetful_rho
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
