@@ -7,7 +7,6 @@ carried together with their prime-power factorization (FactoredInteger).
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,24 +94,19 @@ class _Sieve:
         self.primes = tuple(compress(range(limit + 1), self.marks))
 
 
-_sieve_lock = threading.Lock()
 _sieve = _Sieve(1)
 
 
 def _sieve_through(limit: int) -> _Sieve:
     # Readers take a reference to the current immutable _Sieve; growth swaps
-    # in a replacement atomically, so no lock is needed on the read path.
+    # in a replacement, so a reader never sees a table half built.
     global _sieve
     cur = _sieve
     if cur.limit >= limit:
         return cur
-    with _sieve_lock:
-        cur = _sieve
-        if cur.limit >= limit:
-            return cur
-        # 2^17 covers TRIAL_DIVISION_LIMIT and search.CEILING_SIEVE: one build.
-        _sieve = _Sieve(max(limit, 2 * cur.limit, 1 << 17))
-        return _sieve
+    # 2^17 covers TRIAL_DIVISION_LIMIT and search.CEILING_SIEVE: one build.
+    _sieve = _Sieve(max(limit, 2 * cur.limit, 1 << 17))
+    return _sieve
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:

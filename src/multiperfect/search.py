@@ -9,13 +9,13 @@ exact sigma of its factorization decides. It is the oracle.
 s <= r: after the free choice of p1 and each exponent, the next prime is
 forced by the chain rule (``ChainRule``), so walking all exponent ladders
 visits every primitive alpha-perfect number up to the limit with at most r
-distinct primes. Four exact rules cut the ladders without visiting
+distinct primes. Five exact rules cut the ladders without visiting
 children or factoring their sigma(p^e), each only where no solution can
-lie below: mandatory primes (their count and product), the abundancy
-ladder, the abundancy ceiling and the unmatched large prime; the walker
-``_Walk`` carries the proofs. Every
-number either route reports has passed an exact sigma computation on its
-factorization.
+lie below: the valuation budget (of every prime whose exponent in n is
+known), mandatory primes (their count and product), the abundancy ladder,
+the abundancy ceiling and the unmatched large prime; the walker ``_Walk``
+carries the proofs. Every number either route reports has passed an exact
+sigma computation on its factorization.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ PRUNE_RULES = (
     "product_exceeds_limit",
     "p1_bound",
     "chain_broken",
-    "nonminimal_start",
+    "valuation_excess",
     "mandatory_primes",
     "abundancy_ladder",
+    "valuation_budget",
     "abundancy_ceiling",
     "unmatched_large_prime",
 )
@@ -247,6 +248,12 @@ def _primes_above(p1: int) -> tuple[int, ...]:
     return primes[bisect_right(primes, p1) :]
 
 
+@cache
+def _primes_below(p1: int) -> tuple[tuple[int, int], ...]:
+    """(q, 0) for each prime q < p1: no n with smallest prime p1 has q."""
+    return tuple((q, 0) for q in primes_upto(p1 - 1))
+
+
 class _Walk:
     """One walk from a root p1: its constants, chain rule and counters.
 
@@ -257,7 +264,7 @@ class _Walk:
     """
 
     __slots__ = (
-        "num", "den", "limit", "depth_cap", "p1", "above_p1", "rule",
+        "num", "den", "limit", "depth_cap", "p1", "above_p1", "below_p1", "rule",
         "found", "nodes", "prunes",
     )
 
@@ -269,10 +276,26 @@ class _Walk:
         self.depth_cap = depth_cap
         self.p1 = p1
         self.above_p1 = _primes_above(p1)
+        self.below_p1 = _primes_below(p1)
         self.rule = rule
         self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.nodes = 0
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
+
+    def budget_moduli(self, chain: list) -> list[int]:
+        """q^(b_q + 1), or 1 if b_q < 0, for each prime q of known exponent in n.
+
+        nu_q(n) is known for a used prime (its chain exponent) and for a prime
+        below p1 (0). Comparing q-valuations of S * sigma(m) = alpha*n, with S
+        = sigma(product), gives nu_q(sigma(m)) = b_q = nu_q(alpha) + nu_q(n) -
+        nu_q(S). So no n exists where some b_q < 0, and a modulus of 1, which
+        divides everything, cuts the node and every child on its ladder.
+        """
+        nu_alpha, sigma_exp = self.rule.nu_alpha, self.rule.sigma_exp
+        return [
+            q ** max(nu_alpha.get(q, 0) + e - sigma_exp.get(q, 0) + 1, 0)
+            for q, e in (*chain, *self.below_p1)
+        ]
 
     def descend(self, chain: list, p: int, e: int, product: int, sigma_prod: int):
         """Visit the child chain + [(p, e)] of the given product and sigma."""
@@ -290,17 +313,16 @@ class _Walk:
         if self.den * sigma_prod == self.num * product:
             self.found.append((product, tuple(sorted(chain))))
             return
+        moduli = self.budget_moduli(chain)
+        if 1 in moduli:
+            # This also cuts a mandatory prime below p1, whose b_q < 0.
+            self.prunes["valuation_excess"] += 1
+            return
         mandatory = self.rule.mandatory()
         if not mandatory:
             self.prunes["chain_broken"] += 1
             return
         nxt = min(mandatory)
-        if nxt < self.p1:
-            # The product's smallest prime would no longer be p1; the same
-            # number is enumerated under the branch rooted at that smaller
-            # prime, and no odd target survives a derived factor of 2.
-            self.prunes["nonminimal_start"] += 1
-            return
         depth = len(chain)
         if depth + len(mandatory) > self.depth_cap:
             # Every mandatory prime divides m (ChainRule.mandatory), so
@@ -311,17 +333,22 @@ class _Walk:
         # The other mandatory primes divide m too, so n >= child * rest.
         rest = prod(mandatory) // nxt
         free = self.depth_cap - depth - 1
-        for e, child, child_sigma in self.ladder(product, sigma_prod, nxt, rest, free):
+        ladder = self.ladder(product, sigma_prod, nxt, rest, free, moduli)
+        for e, child, child_sigma in ladder:
             self.descend(chain, nxt, e, child, child_sigma)
 
-    def ladder(self, product: int, sigma_prod: int, nxt: int, rest: int, free: int):
+    def ladder(
+        self, product: int, sigma_prod: int, nxt: int, rest: int, free: int,
+        moduli: list[int],
+    ):
         """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
 
         n = child * m, m coprime to child, stands for any number the child's
         subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
         prime, m is a multiple of rest and has at most free primes, none of
-        them used or nxt. A child, or the rest of the ladder, is cut only where
-        no such n exists, and before sigma(nxt^e) is factored.
+        them used or nxt. moduli are the node's budget_moduli. A child, or the
+        rest of the ladder, is cut only where no such n exists, and before
+        sigma(nxt^e) is factored.
         """
         num, den, limit, prunes = self.num, self.den, self.limit, self.prunes
         used = self.rule.used
@@ -345,6 +372,11 @@ class _Walk:
                 # abundancy by sigma(m)/m >= 1: every larger e overshoots too.
                 prunes["abundancy_ladder"] += 1
                 return
+            if any(sigma_pe % q_power == 0 for q_power in moduli):
+                # q^(b_q + 1) | sigma(nxt^e) leaves nu_q(sigma(m)) < 0. A larger
+                # e may divide sigma(nxt^e) by less of q, so the ladder goes on.
+                prunes["valuation_budget"] += 1
+                continue
             if lhs < rhs:
                 room = limit // child
                 if k is None:
@@ -407,7 +439,8 @@ def chain_search(params: SearchParams) -> SearchReport:
     for p1 in starts:
         # Each root p1^e1 is a child of the empty chain, cut by the same rules.
         root = _Walk(alpha, empty_rule, params.limit, params.max_omega, p1)
-        for e1, _, _ in root.ladder(1, 1, p1, 1, params.max_omega - 1):
+        moduli = root.budget_moduli([])
+        for e1, _, _ in root.ladder(1, 1, p1, 1, params.max_omega - 1, moduli):
             tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
         results.append((root.found, root.nodes, root.prunes, []))
 

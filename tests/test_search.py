@@ -242,6 +242,14 @@ class TestChainSearch:
         assert [f.number.value for f in report.found] == expected
         assert report.exhaustive
 
+    def test_no_odd_perfect_number_of_three_primes(self):
+        # Every odd perfect number n with r distinct primes has n < 2^(4^r)
+        # (Nielsen, Integers 3, 2003, A14), so this walk at that limit is
+        # limit-free: no odd perfect number has at most 3 distinct primes.
+        report = chain_search(SearchParams(Fraction(2), 3, 2**64, "odd_only"))
+        assert report.found == ()
+        assert report.exhaustive
+
     def test_count_by_omega(self):
         report = chain_search(SearchParams(Fraction(3), 6, 10**6))
         assert report.count_by_omega == {3: 2, 4: 1}
@@ -311,7 +319,7 @@ class TestChainSearch:
             report = chain_search(params)
             runs.append((report.incomplete_branches, len(calls)))
         (forgetful, forgetful_rho), (remembered, remembered_rho) = runs
-        assert remembered == forgetful and len(remembered) == 13
+        assert remembered == forgetful and len(remembered) == 12
         assert remembered_rho < forgetful_rho
 
     def test_params_validation(self):
@@ -397,9 +405,10 @@ class TestPruneExactness:
     """Every node or child the walk's cuts drop holds no solution.
 
     A child c = product * nxt^e with c <= limit that the ladder does not
-    yield was cut by a rule, and so was a node left by the mandatory-prime
-    count. Neither may be a unitary divisor of an n <= limit, with omega(n)
-    <= r and p1 as its smallest prime, that the sieve finds.
+    yield was cut by a rule, and so was a node left by a spent valuation
+    budget or by the mandatory-prime count. Neither may be a unitary divisor
+    of an n <= limit, with omega(n) <= r and p1 as its smallest prime, that
+    the sieve finds.
     """
 
     @staticmethod
@@ -419,10 +428,13 @@ class TestPruneExactness:
                     cuts.append((product * power, walk.p1))
                 e, power = e + 1, power * nxt
 
+        def node_cuts(walk):
+            return walk.prunes["valuation_excess"] + walk.prunes["mandatory_primes"]
+
         def recording_visit(walk, chain, product, sigma_prod):
-            nodes, count = walk.nodes, walk.prunes["mandatory_primes"]
+            nodes, count = walk.nodes, node_cuts(walk)
             visit(walk, chain, product, sigma_prod)
-            if (walk.nodes, walk.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
+            if (walk.nodes, node_cuts(walk)) == (nodes + 1, count + 1):
                 cuts.append((product, walk.p1))
 
         monkeypatch.setattr(search._Walk, "ladder", recording_ladder)
@@ -451,10 +463,11 @@ class TestPruneExactness:
                 ), (c, n)
 
     def test_every_rule_cuts_something(self, monkeypatch):
-        rules = ("mandatory_primes", "abundancy_ladder", "abundancy_ceiling",
-                 "unmatched_large_prime")
+        rules = ("valuation_excess", "mandatory_primes", "abundancy_ladder",
+                 "valuation_budget", "abundancy_ceiling", "unmatched_large_prime")
         fired = dict.fromkeys(rules, 0)
-        for alpha, r in [(Fraction(3), 3), (Fraction(9, 5), 2)]:
+        # alpha 4 at r = 4 spends a budget at a node, below the root.
+        for alpha, r in [(Fraction(3), 3), (Fraction(9, 5), 2), (Fraction(4), 4)]:
             cuts, report = self.cut_subtrees(SearchParams(alpha, r, 10**6), monkeypatch)
             assert len(cuts) >= sum(report.pruned_by[rule] for rule in rules) > 0
             for rule in rules:
