@@ -12,8 +12,9 @@ visits every primitive alpha-perfect number up to the limit with at most r
 distinct primes. Five exact rules cut the ladders without visiting
 children or factoring their sigma(p^e), each only where no solution can
 lie below: the valuation budget (of every prime whose exponent in n is
-known), mandatory primes (their count and product), the abundancy ladder,
-the abundancy ceiling and the unmatched large prime; the walker ``_Walk``
+known, which also sets the least exponent of each ladder's prime),
+mandatory primes (their count and product), the abundancy ladder, the
+abundancy ceiling and the unmatched large prime; the walker ``_Walk``
 carries the proofs. Every number either route reports has passed an exact
 sigma computation on its factorization.
 """
@@ -61,7 +62,6 @@ PRUNE_RULES = (
     "product_exceeds_limit",
     "p1_bound",
     "chain_broken",
-    "valuation_excess",
     "mandatory_primes",
     "abundancy_ladder",
     "valuation_budget",
@@ -205,7 +205,7 @@ def _p1_cap(alpha: Fraction, s: int) -> int:
 
 
 def _ceiling_steps(
-    candidates: tuple[int, ...], used: set[int], nxt: int, count: int, room: int
+    candidates: tuple[int, ...], used: dict[int, int], nxt: int, count: int, room: int
 ) -> list[tuple[int, int]] | None:
     """Prefix products (prod q, prod (q-1)) of the smallest free candidates.
 
@@ -282,79 +282,55 @@ class _Walk:
         self.nodes = 0
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
 
-    def budget_moduli(self, chain: list) -> list[int]:
-        """q^(b_q + 1), or 1 if b_q < 0, for each prime q of known exponent in n.
-
-        nu_q(n) is known for a used prime (its chain exponent) and for a prime
-        below p1 (0). Comparing q-valuations of S * sigma(m) = alpha*n, with S
-        = sigma(product), gives nu_q(sigma(m)) = b_q = nu_q(alpha) + nu_q(n) -
-        nu_q(S). So no n exists where some b_q < 0, and a modulus of 1, which
-        divides everything, cuts the node and every child on its ladder.
-        """
-        nu_alpha, sigma_exp = self.rule.nu_alpha, self.rule.sigma_exp
-        return [
-            q ** max(nu_alpha.get(q, 0) + e - sigma_exp.get(q, 0) + 1, 0)
-            for q, e in (*chain, *self.below_p1)
-        ]
-
-    def descend(self, chain: list, p: int, e: int, product: int, sigma_prod: int):
-        """Visit the child chain + [(p, e)] of the given product and sigma."""
+    def descend(self, p: int, e: int, product: int, sigma_prod: int) -> None:
+        """Visit the child chain * p^e of the given product and sigma."""
         sigma_factors = factored_sigma_prime_power(p, e)
-        self.rule.add(p, sigma_factors)
-        chain.append((p, e))
-        self.visit(chain, product, sigma_prod)
-        chain.pop()
+        self.rule.add(p, e, sigma_factors)
+        self.visit(product, sigma_prod)
         self.rule.undo(p, sigma_factors)
 
-    def visit(self, chain: list, product: int, sigma_prod: int) -> None:
+    def visit(self, product: int, sigma_prod: int) -> None:
         """Visit one chain node, then the children on its next prime's ladder."""
         self.nodes += 1
+        rule = self.rule
         # The ladder keeps no child whose abundancy exceeds alpha.
         if self.den * sigma_prod == self.num * product:
-            self.found.append((product, tuple(sorted(chain))))
+            self.found.append((product, tuple(sorted(rule.used.items()))))
             return
-        moduli = self.budget_moduli(chain)
-        if 1 in moduli:
-            # This also cuts a mandatory prime below p1, whose b_q < 0.
-            self.prunes["valuation_excess"] += 1
-            return
-        mandatory = self.rule.mandatory()
+        mandatory = rule.mandatory()
         if not mandatory:
             self.prunes["chain_broken"] += 1
             return
         nxt = min(mandatory)
-        depth = len(chain)
-        if depth + len(mandatory) > self.depth_cap:
+        if len(rule.used) + len(mandatory) > self.depth_cap:
             # Every mandatory prime divides m (ChainRule.mandatory), so
-            # omega(n) >= depth + len(mandatory). This also ends the walk at
+            # omega(n) >= len(used) + len(mandatory). This also ends the walk at
             # depth depth_cap.
             self.prunes["mandatory_primes"] += 1
             return
         # The other mandatory primes divide m too, so n >= child * rest.
         rest = prod(mandatory) // nxt
-        free = self.depth_cap - depth - 1
-        ladder = self.ladder(product, sigma_prod, nxt, rest, free, moduli)
-        for e, child, child_sigma in ladder:
-            self.descend(chain, nxt, e, child, child_sigma)
+        for e, child, child_sigma in self.ladder(product, sigma_prod, nxt, rest):
+            self.descend(nxt, e, child, child_sigma)
 
-    def ladder(
-        self, product: int, sigma_prod: int, nxt: int, rest: int, free: int,
-        moduli: list[int],
-    ):
+    def ladder(self, product: int, sigma_prod: int, nxt: int, rest: int):
         """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
 
         n = child * m, m coprime to child, stands for any number the child's
         subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
         prime, m is a multiple of rest and has at most free primes, none of
-        them used or nxt. moduli are the node's budget_moduli. A child, or the
-        rest of the ladder, is cut only where no such n exists, and before
-        sigma(nxt^e) is factored.
+        them used or nxt. A child, or the rest of the ladder, is cut only where
+        no such n exists, and before sigma(nxt^e) is factored.
         """
         num, den, limit, prunes = self.num, self.den, self.limit, self.prunes
-        used = self.rule.used
+        rule = self.rule
+        free = self.depth_cap - len(rule.used) - 1
+        # No n has e below nxt's floor, and from there on nxt's own budget, e -
+        # floor, is >= 0: with the moduli test, no visited node spends a budget.
+        moduli = rule.budget_moduli(self.below_p1)
+        e = rule.floor(nxt) - 1
+        power = nxt**e
         k = None
-        power = 1
-        e = 0
         while True:
             e += 1
             power *= nxt
@@ -381,9 +357,9 @@ class _Walk:
                 room = limit // child
                 if k is None:
                     # Built at the first child that needs it, whose room is the
-                    # largest left on the ladder; used is the node's set again
-                    # whenever the ladder resumes.
-                    steps = _ceiling_steps(self.above_p1, used, nxt, free, room)
+                    # largest left on the ladder; rule.used is the node's
+                    # chain again whenever the ladder resumes.
+                    steps = _ceiling_steps(self.above_p1, rule.used, nxt, free, room)
                     k = len(steps) - 1 if steps else 0
                 if steps is not None:
                     # m > 1 has at most `free` primes, each above p1 and neither
@@ -408,7 +384,7 @@ def _chain_task(args):
     walk = _Walk(alpha, empty_rule.fresh(), limit, depth_cap, p1)
     incomplete: list[str] = []
     try:
-        walk.descend([], p1, e1, p1**e1, sigma_prime_power(p1, e1))
+        walk.descend(p1, e1, p1**e1, sigma_prime_power(p1, e1))
     except FactorizationExhausted as exc:
         incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
@@ -439,8 +415,7 @@ def chain_search(params: SearchParams) -> SearchReport:
     for p1 in starts:
         # Each root p1^e1 is a child of the empty chain, cut by the same rules.
         root = _Walk(alpha, empty_rule, params.limit, params.max_omega, p1)
-        moduli = root.budget_moduli([])
-        for e1, _, _ in root.ladder(1, 1, p1, 1, params.max_omega - 1, moduli):
+        for e1, _, _ in root.ladder(1, 1, p1, 1):
             tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
         results.append((root.found, root.nodes, root.prunes, []))
 

@@ -124,10 +124,10 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
 class ChainRule:
     """The bottom-up rule as incremental state for one alpha.
 
-    Holds nu_p(alpha) for the primes of alpha, the exponents of the sigma
-    product S over the chain so far, and the chain primes used. ``add`` and
-    ``undo`` extend and shorten the chain by one prime power, given the
-    factorization of its divisor sum; ``next_prime`` applies the rule.
+    Holds nu_p(alpha), the exponents of the sigma product S over the chain
+    so far and the chain (``used``: prime to exponent, in chain order), which
+    ``add`` and ``undo`` change by one prime power. nu_q(S) - nu_q(alpha) gives
+    ``next_prime``, the valuation budget and each prime's least exponent.
     """
 
     __slots__ = ("nu_alpha", "den_primes", "sigma_exp", "used")
@@ -138,7 +138,7 @@ class ChainRule:
         self.nu_alpha.update((p, -e) for p, e in den)
         self.den_primes = tuple(p for p, _ in den)
         self.sigma_exp: dict[int, int] = {}
-        self.used: set[int] = set()
+        self.used: dict[int, int] = {}
 
     def fresh(self) -> "ChainRule":
         """An empty chain for the same alpha, without factoring alpha again."""
@@ -146,18 +146,18 @@ class ChainRule:
         rule.nu_alpha = self.nu_alpha
         rule.den_primes = self.den_primes
         rule.sigma_exp = {}
-        rule.used = set()
+        rule.used = {}
         return rule
 
-    def add(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
-        """Append prime p, whose power has divisor sum sigma_factors."""
-        self.used.add(p)
+    def add(self, p: int, e: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
+        """Append p^e, whose divisor sum has factorization sigma_factors."""
+        self.used[p] = e
         for q, k in sigma_factors:
             self.sigma_exp[q] = self.sigma_exp.get(q, 0) + k
 
     def undo(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
         """Reverse the matching ``add``, leaving the state exactly as before."""
-        self.used.discard(p)
+        del self.used[p]
         for q, k in sigma_factors:
             left = self.sigma_exp[q] - k
             if left:
@@ -182,6 +182,28 @@ class ChainRule:
         out += [p for p in self.den_primes if p not in used and p not in sigma_exp]
         return out
 
+    def floor(self, p: int) -> int:
+        """max(1, nu_p(S) - nu_p(alpha)), the least exponent of unused p in n.
+
+        For n = chain * p^e * m as in ``mandatory``, p divides no sigma(p^e):
+        e = nu_p(S) - nu_p(alpha) + nu_p(sigma(m)) >= nu_p(S) - nu_p(alpha).
+        """
+        return max(1, self.sigma_exp.get(p, 0) - self.nu_alpha.get(p, 0))
+
+    def budget_moduli(self, below: Sequence[tuple[int, int]]) -> list[int]:
+        """q^(b_q + 1), or 1 if b_q < 0, for each prime q of known exponent in n.
+
+        Those are the used primes (their chain exponents) and each (q, 0) of
+        below, a prime n lacks. Comparing q-valuations of S * sigma(m) =
+        alpha*n, n = chain * m, gives nu_q(sigma(m)) = b_q = nu_q(alpha) +
+        nu_q(n) - nu_q(S): no n exists where some b_q < 0, nor for a child
+        chain * p^e with q^(b_q + 1) | sigma(p^e).
+        """
+        return [
+            q ** max(self.nu_alpha.get(q, 0) + e - self.sigma_exp.get(q, 0) + 1, 0)
+            for q, e in (*self.used.items(), *below)
+        ]
+
     def next_prime(self) -> Optional[int]:
         """Smallest unused prime p with nu_p(S) > nu_p(alpha), or None."""
         return min(self.mandatory(), default=None)
@@ -196,13 +218,13 @@ def next_chain_prime(
     """
     if not chain:
         raise EmptyChain("the first chain prime is not determined by the rule")
-    if len({p for p, _ in chain}) != len(chain):
-        raise ValueError("chain primes must be distinct")
     rule = ChainRule(alpha)
     for p, e in chain:
         if e < 1:
             raise ValueError(f"exponent {e} for prime {p} must be >= 1")
-        rule.add(p, factored_sigma_prime_power(p, e))
+        if p in rule.used:
+            raise ValueError("chain primes must be distinct")
+        rule.add(p, e, factored_sigma_prime_power(p, e))
     return rule.next_prime()
 
 
@@ -224,19 +246,20 @@ def reconstruct(
     if not is_prime(p1):
         raise ValueError(f"p1 = {p1} is not prime")
     rule = ChainRule(alpha)
-    chain: list[tuple[int, int]] = []
     p = p1
-    for step, e in enumerate(exponents, start=1):
+    for e in exponents:
         if p is None:
-            return Reconstruction(None, tuple(chain), "chain_broke_at_step", step)
-        chain.append((p, e))
-        rule.add(p, factored_sigma_prime_power(p, e))
+            break
+        rule.add(p, e, factored_sigma_prime_power(p, e))
         p = rule.next_prime()
+    chain = tuple(rule.used.items())
+    if len(chain) < len(exponents):
+        return Reconstruction(None, chain, "chain_broke_at_step", len(chain) + 1)
     number = FactoredInteger.from_factors(sorted(chain))
     if sigma(number) * alpha.denominator != alpha.numerator * number.value:
-        return Reconstruction(None, tuple(chain), "not_alpha_perfect")
+        return Reconstruction(None, chain, "not_alpha_perfect")
     # Unreachable in theory: sigma(n) = alpha*n forces the criterion to fail
     # for every unused prime. Kept as a guard on the derivation itself.
     if p is not None:
-        return Reconstruction(None, tuple(chain), "chain_overran")
-    return Reconstruction(number, tuple(chain))
+        return Reconstruction(None, chain, "chain_overran")
+    return Reconstruction(number, chain)

@@ -6,7 +6,8 @@ with ``--jobs 1`` and ``--jobs 2``, each recorded as its own case.
 ``COLUMNS`` is fixed at 80, because argparse wraps usage lines to the
 terminal width.
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``,
-and only when an output change is intended.
+and only when an output change is intended; it prints the argv of each
+case whose recorded output changed.
 """
 
 import contextlib
@@ -95,5 +96,10 @@ def test_matches_golden(argv):
 
 
 if __name__ == "__main__":
+    recorded = _recorded() if GOLDEN.exists() else {}
+    cases = [run(argv) for argv in CASES]
+    for case in cases:
+        if recorded.get(tuple(case["argv"])) != case:
+            print(" ".join(case["argv"]))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,6 +349,21 @@ def direct_next_prime(alpha: Fraction, chain) -> int | None:
     return min(qualifying, default=None)
 
 
+def direct_budget(alpha: Fraction, chain, below):
+    """ChainRule.budget_moduli read straight off its definition."""
+    s = prod(sigma_prime_power(p, e) for p, e in chain)
+    budgets = [
+        (q, nu_rational(q, alpha) + e - nu(q, s)) for q, e in (*chain, *below)
+    ]
+    return [q ** (b + 1) if b >= 0 else 1 for q, b in budgets]
+
+
+def direct_floor(alpha: Fraction, chain, p: int) -> int:
+    """ChainRule.floor read straight off its definition."""
+    s = prod(sigma_prime_power(q, e) for q, e in chain)
+    return max(1, nu(p, s) - nu_rational(p, alpha))
+
+
 class TestChainRule:
     @pytest.mark.parametrize(
         "alpha,limit",
@@ -360,26 +375,58 @@ class TestChainRule:
         visit = search._Walk.visit
         prefixes = []
 
-        def checked(walk, chain, product, sigma_prod):
+        def checked(walk, product, sigma_prod):
             rule = walk.rule
-            before = (dict(rule.sigma_exp), set(rule.used))
-            assert rule.used == {p for p, _ in chain}
-            assert rule.next_prime() == direct_next_prime(alpha, chain), chain
-            prefixes.append(tuple(chain))
-            visit(walk, chain, product, sigma_prod)
+            chain = tuple(rule.used.items())
+            before = (dict(rule.sigma_exp), chain)
+            assert prod(p**e for p, e in chain) == product, chain
+            assert prod(sigma_prime_power(p, e) for p, e in chain) == sigma_prod
+            nxt = rule.next_prime()
+            assert nxt == direct_next_prime(alpha, chain), chain
+            below = walk.below_p1
+            assert rule.budget_moduli(below) == direct_budget(alpha, chain, below)
+            s = prod(sigma_prime_power(p, e) for p, e in chain)
+            primes = {p for p, _ in factorize(s * alpha.denominator).factors}
+            for q in (primes | {2, 3, 5, 7, 11, 13}) - rule.used.keys():
+                assert rule.floor(q) == direct_floor(alpha, chain, q), (chain, q)
+            prefixes.append(chain)
+            visit(walk, product, sigma_prod)
             # every child added below this node has been undone exactly
-            assert (rule.sigma_exp, rule.used) == before, chain
+            assert (rule.sigma_exp, tuple(rule.used.items())) == before, chain
 
         monkeypatch.setattr(search._Walk, "visit", checked)
         report = chain_search(SearchParams(alpha, 12, limit))
         assert len(set(prefixes)) == len(prefixes) == report.nodes_explored
 
+    @pytest.mark.parametrize(
+        "alpha,parity",
+        [(Fraction(9, 5), "any"), (Fraction(12, 5), "any"), (Fraction(25, 12), "any"),
+         (Fraction(32, 25), "any"), (Fraction(49, 27), "odd_only")],
+    )
+    def test_no_visited_node_holds_a_spent_budget(self, alpha, parity, monkeypatch):
+        # Each ladder starts at its prime's floor, and the moduli test keeps
+        # every other known prime's budget, down to the root, whose p1 may
+        # divide alpha's denominator.
+        visit = search._Walk.visit
+        visits = []
+
+        def checked(walk, product, sigma_prod):
+            moduli = walk.rule.budget_moduli(walk.below_p1)
+            assert 1 not in moduli, (tuple(walk.rule.used.items()), moduli)
+            visits.append(product)
+            visit(walk, product, sigma_prod)
+
+        monkeypatch.setattr(search._Walk, "visit", checked)
+        report = chain_search(SearchParams(alpha, 20, 10**30, parity))
+        assert len(visits) == report.nodes_explored > 0
+
     def test_undo_restores_state(self):
         rule = ChainRule(Fraction(9, 5))
-        rule.add(3, factored_sigma_prime_power(3, 4))
-        before = (dict(rule.sigma_exp), set(rule.used), rule.next_prime())
+        rule.add(3, 4, factored_sigma_prime_power(3, 4))
+        before = (dict(rule.sigma_exp), dict(rule.used), rule.next_prime())
         factors = factored_sigma_prime_power(11, 2)
-        rule.add(11, factors)
+        rule.add(11, 2, factors)
+        assert list(rule.used.items()) == [(3, 4), (11, 2)]
         rule.undo(11, factors)
         assert (rule.sigma_exp, rule.used, rule.next_prime()) == before
 
@@ -405,8 +452,8 @@ class TestPruneExactness:
     """Every node or child the walk's cuts drop holds no solution.
 
     A child c = product * nxt^e with c <= limit that the ladder does not
-    yield was cut by a rule, and so was a node left by a spent valuation
-    budget or by the mandatory-prime count. Neither may be a unitary divisor
+    yield was cut by a rule (e below nxt's floor among them), and so was a
+    node cut by the mandatory-prime count. Neither may be a unitary divisor
     of an n <= limit, with omega(n) <= r and p1 as its smallest prime, that
     the sieve finds.
     """
@@ -428,13 +475,10 @@ class TestPruneExactness:
                     cuts.append((product * power, walk.p1))
                 e, power = e + 1, power * nxt
 
-        def node_cuts(walk):
-            return walk.prunes["valuation_excess"] + walk.prunes["mandatory_primes"]
-
-        def recording_visit(walk, chain, product, sigma_prod):
-            nodes, count = walk.nodes, node_cuts(walk)
-            visit(walk, chain, product, sigma_prod)
-            if (walk.nodes, node_cuts(walk)) == (nodes + 1, count + 1):
+        def recording_visit(walk, product, sigma_prod):
+            nodes, count = walk.nodes, walk.prunes["mandatory_primes"]
+            visit(walk, product, sigma_prod)
+            if (walk.nodes, walk.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
                 cuts.append((product, walk.p1))
 
         monkeypatch.setattr(search._Walk, "ladder", recording_ladder)
@@ -463,10 +507,10 @@ class TestPruneExactness:
                 ), (c, n)
 
     def test_every_rule_cuts_something(self, monkeypatch):
-        rules = ("valuation_excess", "mandatory_primes", "abundancy_ladder",
-                 "valuation_budget", "abundancy_ceiling", "unmatched_large_prime")
+        rules = ("mandatory_primes", "abundancy_ladder", "valuation_budget",
+                 "abundancy_ceiling", "unmatched_large_prime")
         fired = dict.fromkeys(rules, 0)
-        # alpha 4 at r = 4 spends a budget at a node, below the root.
+        # alpha 4 at r = 4 starts ladders above e = 1, at their primes' floors.
         for alpha, r in [(Fraction(3), 3), (Fraction(9, 5), 2), (Fraction(4), 4)]:
             cuts, report = self.cut_subtrees(SearchParams(alpha, r, 10**6), monkeypatch)
             assert len(cuts) >= sum(report.pruned_by[rule] for rule in rules) > 0
