@@ -14,9 +14,10 @@ children or factoring their sigma(p^e), each only where no solution can
 lie below: the valuation budget (of every prime whose exponent in n is
 known, which also sets the least exponent of each ladder's prime),
 mandatory primes (their count and product), the abundancy ladder, the
-abundancy ceiling and the unmatched large prime; the walker ``_Walk``
-carries the proofs. Every number either route reports has passed an exact
-sigma computation on its factorization.
+forced cofactor (the part of sigma(child) coprime to alpha's numerator
+and the child must divide m) and the abundancy ceiling; the walker
+``_Walk`` carries the proofs. Every number either route reports has
+passed an exact sigma computation on its factorization.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arithmetic import (
-    _primes_one_mod,
     FactoredInteger,
     factored_sigma_prime_power,
     factorize,
@@ -50,10 +50,6 @@ DEFAULT_BLOCK_SIZE = 1 << 20
 # multiperfect_scan far inside that range.
 INTEGER_ABUNDANCIES = tuple(Fraction(k) for k in range(2, 7))
 
-# The unmatched-large-prime cut trial-divides sigma(p^e) by every prime up
-# to the room a child leaves, so it runs only where that room is small.
-SMALL_ROOM = 10**4
-
 # The abundancy ceiling draws completion primes from the primes up to this
 # bound; a node that would need more of them is not cut by the ceiling.
 CEILING_SIEVE = 1 << 16
@@ -66,7 +62,7 @@ PRUNE_RULES = (
     "abundancy_ladder",
     "valuation_budget",
     "abundancy_ceiling",
-    "unmatched_large_prime",
+    "forced_cofactor",
 )
 
 
@@ -225,22 +221,6 @@ def _ceiling_steps(
     return steps if len(steps) > count or qp > room else None
 
 
-def _has_unmatched_prime(s: int, matched: int, room: int) -> bool:
-    """Whether s has a prime factor above room that does not divide matched."""
-    # All primes up to TRIAL_DIVISION_LIMIT, which room (<= SMALL_ROOM) is below.
-    for q in _primes_one_mod(1):
-        if q > room or q * q > s:
-            break
-        while s % q == 0:
-            s //= q
-    # Now s is 1 or a prime, or has only primes above room.
-    if s <= room:
-        return False
-    while (g := gcd(s, matched)) > 1:
-        s //= g
-    return s > 1
-
-
 @cache
 def _primes_above(p1: int) -> tuple[int, ...]:
     """The primes in (p1, CEILING_SIEVE], one tuple per p1 for every walker."""
@@ -353,6 +333,15 @@ class _Walk:
                 # e may divide sigma(nxt^e) by less of q, so the ladder goes on.
                 prunes["valuation_budget"] += 1
                 continue
+            g = child_sigma
+            while (c := gcd(g, rhs)) > 1:
+                g //= c
+            if child * lcm(rest, g) > limit:
+                # g, the part of sigma(child) coprime to num*child, divides
+                # den*sigma(child)*sigma(m) = num*child*m, so g | m, and rest
+                # | m: n >= child * lcm(rest, g). g is not monotone in e.
+                prunes["forced_cofactor"] += 1
+                continue
             if lhs < rhs:
                 room = limit // child
                 if k is None:
@@ -371,11 +360,6 @@ class _Walk:
                     if lhs * steps[k][0] <= rhs * steps[k][1]:
                         prunes["abundancy_ceiling"] += 1
                         continue
-                if room <= SMALL_ROOM and _has_unmatched_prime(sigma_pe, rhs, room):
-                    # Each prime of sigma(nxt^e) divides alpha*n; one that
-                    # divides neither num nor child must divide m <= room.
-                    prunes["unmatched_large_prime"] += 1
-                    continue
             yield e, child, child_sigma
 
 

@@ -250,6 +250,14 @@ class TestChainSearch:
         assert report.found == ()
         assert report.exhaustive
 
+    def test_no_odd_perfect_number_below_ten_to_the_sixty(self):
+        # No odd perfect number is below 10^300 (Brent, Cohen & te Riele,
+        # Math. Comp. 57, 1991), so this walk must find none, with every
+        # sigma(p^e) on its way factored.
+        report = chain_search(SearchParams(Fraction(2), 20, 10**60, "odd_only"))
+        assert report.found == ()
+        assert report.exhaustive and report.incomplete_branches == ()
+
     def test_count_by_omega(self):
         report = chain_search(SearchParams(Fraction(3), 6, 10**6))
         assert report.count_by_omega == {3: 2, 4: 1}
@@ -310,7 +318,7 @@ class TestChainSearch:
 
         monkeypatch.setattr(arithmetic, "_pollard_rho", counting)
         monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 100)
-        params = SearchParams(Fraction(2), 12, 10**30, "odd_only")
+        params = SearchParams(Fraction(2), 16, 10**40, "odd_only")
         runs = []
         for failures in (Forgetful(), {}):
             monkeypatch.setattr(arithmetic, "_exhausted", failures)
@@ -319,7 +327,7 @@ class TestChainSearch:
             report = chain_search(params)
             runs.append((report.incomplete_branches, len(calls)))
         (forgetful, forgetful_rho), (remembered, remembered_rho) = runs
-        assert remembered == forgetful and len(remembered) == 12
+        assert remembered == forgetful and len(remembered) == 10
         assert remembered_rho < forgetful_rho
 
     def test_params_validation(self):
@@ -508,7 +516,7 @@ class TestPruneExactness:
 
     def test_every_rule_cuts_something(self, monkeypatch):
         rules = ("mandatory_primes", "abundancy_ladder", "valuation_budget",
-                 "abundancy_ceiling", "unmatched_large_prime")
+                 "abundancy_ceiling", "forced_cofactor")
         fired = dict.fromkeys(rules, 0)
         # alpha 4 at r = 4 starts ladders above e = 1, at their primes' floors.
         for alpha, r in [(Fraction(3), 3), (Fraction(9, 5), 2), (Fraction(4), 4)]:
