@@ -118,18 +118,19 @@ def _evaluate(build, prec: int) -> Interval:
             iv.prec = saved
 
 
-def _rigorous(build, rel_tol: Fraction = _REL_TOLERANCE) -> Interval:
+def _rigorous(build) -> Interval:
     """Evaluate with a precision-doubling self-check.
 
     The returned interval must contain the interval recomputed at twice the
-    working precision and must have relative width within rel_tol; otherwise
-    the working precision doubles and the evaluation repeats.
+    working precision and must have relative width within _REL_TOLERANCE;
+    otherwise the working precision doubles and the evaluation repeats.
     """
     prec = DEFAULT_PRECISION
     while prec <= _MAX_PRECISION:
         base = _evaluate(build, prec)
         refined = _evaluate(build, 2 * prec)
-        if base.contains(refined) and base.width <= rel_tol * abs(base.midpoint):
+        tight = base.width <= _REL_TOLERANCE * abs(base.midpoint)
+        if tight and base.contains(refined):
             return base
         prec *= 2
     raise ArithmeticError("interval evaluation did not stabilize")

@@ -305,10 +305,13 @@ class _Walk:
         num, den, limit, prunes = self.num, self.den, self.limit, self.prunes
         rule = self.rule
         free = self.depth_cap - len(rule.used) - 1
-        # No n has e below nxt's floor, and from there on nxt's own budget, e -
-        # floor, is >= 0: with the moduli test, no visited node spends a budget.
+        # nxt divides no sigma(nxt^e), so nu_nxt of S*sigma(nxt^e)*sigma(m) =
+        # alpha*n gives e = excess + nu_nxt(sigma(m)) >= nxt's excess in rule.
+        # The max is for a root, whose p1 may divide alpha's numerator. From
+        # there on nxt's own budget, e - excess, is >= 0: with the moduli test,
+        # no visited node spends a budget.
         moduli = rule.budget_moduli(self.below_p1)
-        e = rule.floor(nxt) - 1
+        e = max(1, rule.excess.get(nxt, 0)) - 1
         power = nxt**e
         k = None
         while True:
@@ -373,6 +376,11 @@ def _chain_task(args):
         incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
         incomplete.append(f"p1={p1} e1={e1}: recursion limit")
+    for value, factors in walk.found:
+        # The walk's cuts assume p1 is n's smallest prime; under odd_only, p1
+        # >= 3 then also makes n odd.
+        if factors[0][0] != p1:
+            raise AssertionError(f"chain result {value} has a prime below p1={p1}")
     return walk.found, walk.nodes, walk.prunes, incomplete
 
 

@@ -124,46 +124,44 @@ def extract_signature(n: FactoredInteger) -> ChainSignature:
 class ChainRule:
     """The bottom-up rule as incremental state for one alpha.
 
-    Holds nu_p(alpha), the exponents of the sigma product S over the chain
-    so far and the chain (``used``: prime to exponent, in chain order), which
-    ``add`` and ``undo`` change by one prime power. nu_q(S) - nu_q(alpha) gives
-    ``next_prime``, the valuation budget and each prime's least exponent.
+    Holds the chain (``used``: prime to exponent, in chain order) and
+    ``excess``: each nonzero nu_q(S) - nu_q(alpha), S the sigma product over
+    the chain. ``add`` and ``undo`` change both by one prime power. The
+    excess gives ``next_prime``, the valuation budget and ladder floors.
     """
 
-    __slots__ = ("nu_alpha", "den_primes", "sigma_exp", "used")
+    __slots__ = ("excess", "used")
 
     def __init__(self, alpha: Fraction):
-        den = factorize(alpha.denominator).factors
-        self.nu_alpha = dict(factorize(alpha.numerator).factors)
-        self.nu_alpha.update((p, -e) for p, e in den)
-        self.den_primes = tuple(p for p, _ in den)
-        self.sigma_exp: dict[int, int] = {}
+        self.excess = {p: -e for p, e in factorize(alpha.numerator).factors}
+        self.excess.update(factorize(alpha.denominator).factors)
         self.used: dict[int, int] = {}
 
     def fresh(self) -> "ChainRule":
-        """An empty chain for the same alpha, without factoring alpha again."""
+        """An empty chain for the same alpha, copied from this empty one."""
         rule = ChainRule.__new__(ChainRule)
-        rule.nu_alpha = self.nu_alpha
-        rule.den_primes = self.den_primes
-        rule.sigma_exp = {}
+        rule.excess = dict(self.excess)
         rule.used = {}
         return rule
+
+    def _shift(self, sigma_factors: Sequence[tuple[int, int]], sign: int) -> None:
+        excess = self.excess
+        for q, k in sigma_factors:
+            x = excess.get(q, 0) + sign * k
+            if x:
+                excess[q] = x
+            else:
+                del excess[q]
 
     def add(self, p: int, e: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
         """Append p^e, whose divisor sum has factorization sigma_factors."""
         self.used[p] = e
-        for q, k in sigma_factors:
-            self.sigma_exp[q] = self.sigma_exp.get(q, 0) + k
+        self._shift(sigma_factors, 1)
 
     def undo(self, p: int, sigma_factors: Sequence[tuple[int, int]]) -> None:
         """Reverse the matching ``add``, leaving the state exactly as before."""
         del self.used[p]
-        for q, k in sigma_factors:
-            left = self.sigma_exp[q] - k
-            if left:
-                self.sigma_exp[q] = left
-            else:
-                del self.sigma_exp[q]
+        self._shift(sigma_factors, -1)
 
     def mandatory(self) -> list[int]:
         """Every unused prime q with nu_q(S) > nu_q(alpha), in no set order.
@@ -171,36 +169,24 @@ class ChainRule:
         Each one divides every n = chain * m (m coprime to the chain) with
         sigma(n) = alpha*n: comparing q-valuations of sigma(chain)*sigma(m)
         = alpha*chain*m gives nu_q(m) = nu_q(S) - nu_q(alpha) + nu_q(sigma(m))
-        > 0. Only primes dividing S or alpha's denominator can qualify; for
-        all others the left side is 0 and the right side is >= 0. A
-        denominator prime always qualifies, its right side being negative.
+        > 0. A denominator prime that S lacks qualifies too: its excess
+        starts out positive.
         """
-        used, nu_alpha, sigma_exp = self.used, self.nu_alpha, self.sigma_exp
-        out = [
-            p for p, k in sigma_exp.items() if k > nu_alpha.get(p, 0) and p not in used
-        ]
-        out += [p for p in self.den_primes if p not in used and p not in sigma_exp]
-        return out
-
-    def floor(self, p: int) -> int:
-        """max(1, nu_p(S) - nu_p(alpha)), the least exponent of unused p in n.
-
-        For n = chain * p^e * m as in ``mandatory``, p divides no sigma(p^e):
-        e = nu_p(S) - nu_p(alpha) + nu_p(sigma(m)) >= nu_p(S) - nu_p(alpha).
-        """
-        return max(1, self.sigma_exp.get(p, 0) - self.nu_alpha.get(p, 0))
+        used = self.used
+        return [q for q, x in self.excess.items() if x > 0 and q not in used]
 
     def budget_moduli(self, below: Sequence[tuple[int, int]]) -> list[int]:
         """q^(b_q + 1), or 1 if b_q < 0, for each prime q of known exponent in n.
 
         Those are the used primes (their chain exponents) and each (q, 0) of
         below, a prime n lacks. Comparing q-valuations of S * sigma(m) =
-        alpha*n, n = chain * m, gives nu_q(sigma(m)) = b_q = nu_q(alpha) +
-        nu_q(n) - nu_q(S): no n exists where some b_q < 0, nor for a child
-        chain * p^e with q^(b_q + 1) | sigma(p^e).
+        alpha*n, n = chain * m, gives nu_q(sigma(m)) = b_q = nu_q(n) -
+        (nu_q(S) - nu_q(alpha)): no n exists where some b_q < 0, nor for a
+        child chain * p^e with q^(b_q + 1) | sigma(p^e).
         """
+        excess = self.excess
         return [
-            q ** max(self.nu_alpha.get(q, 0) + e - self.sigma_exp.get(q, 0) + 1, 0)
+            q ** max(e - excess.get(q, 0) + 1, 0)
             for q, e in (*self.used.items(), *below)
         ]
 

@@ -153,6 +153,29 @@ class TestCountCoefficient:
 
             assert count_coefficient(r).contains(high_precision(point))
 
+    def test_precision_escalates_until_the_value_settles(self, monkeypatch):
+        evaluate = bounds._evaluate
+        precisions = []
+
+        def spy(build, prec):
+            precisions.append(prec)
+            return evaluate(build, prec)
+
+        monkeypatch.setattr(bounds, "_evaluate", spy)
+        monkeypatch.setattr(bounds, "DEFAULT_PRECISION", 8)
+        box = count_coefficient(5)
+        # Each working precision is checked against twice itself; 64 bits is
+        # the first to pass.
+        assert precisions == [8, 16, 16, 32, 32, 64, 64, 128]
+        point = high_precision(
+            lambda: mp.mpf(25) / (2 * mp.log(3) * mp.log(5) * mp.log(7)
+                                  * mp.log(11) * mp.log(13))
+        )
+        assert box.contains(point) and box.width <= REL_TOL * box.midpoint
+        monkeypatch.setattr(bounds, "_MAX_PRECISION", 16)
+        with pytest.raises(ArithmeticError, match="did not stabilize"):
+            count_coefficient(5)
+
 
 class TestPrimitiveCountBound:
     def test_rational_form(self):

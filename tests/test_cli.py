@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import multiperfect.arithmetic as arithmetic
+import multiperfect.bounds as bounds
 import multiperfect.cli as cli
 import multiperfect.search as search
 from multiperfect.arithmetic import factorize
@@ -368,6 +370,36 @@ class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+
+class TestFailureExits:
+    def test_recursion_limit_exits_2(self, capsys, monkeypatch):
+        def too_deep(walk, product, sigma_prod):
+            raise RecursionError
+
+        monkeypatch.setattr(search._Walk, "visit", too_deep)
+        code, _, err = run_cli(
+            capsys, "chain-search", "--alpha", "3", "--limit", "1000000",
+            "--max-omega", "6", "--jobs", "1",
+        )
+        assert code == 2
+        assert "NON-EXHAUSTIVE" in err and ": recursion limit" in err
+
+    def test_factorization_budget_hit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 0)
+        # 1000003 * 1000033: both primes lie past trial division.
+        code, out, err = run_cli(capsys, "classify", "1000036000099")
+        assert code == 2
+        assert out == ""
+        assert "1000036000099" in err and "factorization budget" in err
+
+    def test_unsettled_bound_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_PRECISION", 8)
+        monkeypatch.setattr(bounds, "_MAX_PRECISION", 16)
+        code, out, err = run_cli(capsys, "bounds", "--alpha", "2", "--max-r", "3")
+        assert code == 3
+        assert out == ""
+        assert "ArithmeticError: interval evaluation did not stabilize" in err
 
 
 class TestJobsResolution:

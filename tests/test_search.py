@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd, prod
 
@@ -366,10 +367,15 @@ def direct_budget(alpha: Fraction, chain, below):
     return [q ** (b + 1) if b >= 0 else 1 for q, b in budgets]
 
 
-def direct_floor(alpha: Fraction, chain, p: int) -> int:
-    """ChainRule.floor read straight off its definition."""
+def direct_excess(alpha: Fraction, chain) -> dict[int, int]:
+    """ChainRule.excess read straight off its definition, nonzero entries only.
+
+    Only primes of S * num * den can have a nonzero nu_q(S) - nu_q(alpha).
+    """
     s = prod(sigma_prime_power(q, e) for q, e in chain)
-    return max(1, nu(p, s) - nu_rational(p, alpha))
+    primes = [q for q, _ in factorize(s * alpha.numerator * alpha.denominator).factors]
+    excess = {q: nu(q, s) - nu_rational(q, alpha) for q in primes}
+    return {q: x for q, x in excess.items() if x}
 
 
 class TestChainRule:
@@ -386,21 +392,18 @@ class TestChainRule:
         def checked(walk, product, sigma_prod):
             rule = walk.rule
             chain = tuple(rule.used.items())
-            before = (dict(rule.sigma_exp), chain)
+            before = (dict(rule.excess), chain)
             assert prod(p**e for p, e in chain) == product, chain
             assert prod(sigma_prime_power(p, e) for p, e in chain) == sigma_prod
             nxt = rule.next_prime()
             assert nxt == direct_next_prime(alpha, chain), chain
             below = walk.below_p1
             assert rule.budget_moduli(below) == direct_budget(alpha, chain, below)
-            s = prod(sigma_prime_power(p, e) for p, e in chain)
-            primes = {p for p, _ in factorize(s * alpha.denominator).factors}
-            for q in (primes | {2, 3, 5, 7, 11, 13}) - rule.used.keys():
-                assert rule.floor(q) == direct_floor(alpha, chain, q), (chain, q)
+            assert rule.excess == direct_excess(alpha, chain), chain
             prefixes.append(chain)
             visit(walk, product, sigma_prod)
             # every child added below this node has been undone exactly
-            assert (rule.sigma_exp, tuple(rule.used.items())) == before, chain
+            assert (rule.excess, tuple(rule.used.items())) == before, chain
 
         monkeypatch.setattr(search._Walk, "visit", checked)
         report = chain_search(SearchParams(alpha, 12, limit))
@@ -431,12 +434,35 @@ class TestChainRule:
     def test_undo_restores_state(self):
         rule = ChainRule(Fraction(9, 5))
         rule.add(3, 4, factored_sigma_prime_power(3, 4))
-        before = (dict(rule.sigma_exp), dict(rule.used), rule.next_prime())
+        before = (dict(rule.excess), dict(rule.used), rule.next_prime())
         factors = factored_sigma_prime_power(11, 2)
         rule.add(11, 2, factors)
         assert list(rule.used.items()) == [(3, 4), (11, 2)]
         rule.undo(11, factors)
-        assert (rule.sigma_exp, rule.used, rule.next_prime()) == before
+        assert (rule.excess, rule.used, rule.next_prime()) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 30),
+        st.lists(
+            st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), st.integers(1, 6)),
+            max_size=5,
+            unique_by=lambda pe: pe[0],
+        ),
+    )
+    def test_excess_follows_add_and_undo(self, num, den, chain):
+        alpha = Fraction(num, den)
+        rule = ChainRule(alpha)
+        initial = (dict(rule.excess), rule.next_prime())
+        factors = [factored_sigma_prime_power(p, e) for p, e in chain]
+        for i, (p, e) in enumerate(chain):
+            rule.add(p, e, factors[i])
+            assert rule.excess == direct_excess(alpha, chain[: i + 1]), chain
+        for (p, _), f in zip(reversed(chain), reversed(factors)):
+            rule.undo(p, f)
+        assert rule.used == {}
+        assert (rule.excess, rule.next_prime()) == initial
 
 
 @st.composite
@@ -563,3 +589,60 @@ class TestReverification:
         for f in report.found:
             n = f.number.value
             assert sigma(factorize(n)) == 4 * n
+
+    def test_a_result_below_its_root_is_refused(self, monkeypatch):
+        # Only the moduli of the primes below p1 keep 6 = 3 * 2 out of the
+        # odd-only walk from p1 = 3; with them ignored, the guard refuses it.
+        moduli = ChainRule.budget_moduli
+        monkeypatch.setattr(
+            ChainRule, "budget_moduli", lambda rule, below: moduli(rule, ())
+        )
+        with pytest.raises(AssertionError, match="chain result 6 has a prime below"):
+            chain_search(SearchParams(Fraction(2), 4, 10**4, "odd_only"))
+
+
+class TestSafetyPaths:
+    @pytest.mark.parametrize(
+        "alpha,limit,r,parity",
+        [(Fraction(4), 10**9, 12, "any"), (Fraction(3), 10**7, 12, "any"),
+         (Fraction(2), 10**30, 12, "odd_only"), (Fraction(5), 10**20, 14, "any")],
+    )
+    def test_ceiling_gives_up_without_losing_a_solution(
+        self, alpha, limit, r, parity, monkeypatch
+    ):
+        params = SearchParams(alpha, r, limit, parity)
+        full = chain_search(params)
+        steps = search._ceiling_steps
+        gave_up = []
+
+        def spy(*args):
+            out = steps(*args)
+            gave_up.append(out is None)
+            return out
+
+        monkeypatch.setattr(search, "_ceiling_steps", spy)
+        # Too few ceiling primes: _ceiling_steps runs out and the ceiling
+        # cuts nothing there.
+        monkeypatch.setattr(search, "CEILING_SIEVE", 20)
+        search._primes_above.cache_clear()
+        try:
+            short = chain_search(params)
+        finally:
+            search._primes_above.cache_clear()
+        assert any(gave_up)
+        assert [f.number.value for f in short.found] == [
+            f.number.value for f in full.found
+        ]
+        assert short.exhaustive and full.exhaustive
+        assert short.nodes_explored >= full.nodes_explored
+
+    def test_recursion_limit_is_reported(self, monkeypatch):
+        def too_deep(walk, product, sigma_prod):
+            raise RecursionError
+
+        monkeypatch.setattr(search._Walk, "visit", too_deep)
+        report = chain_search(SearchParams(Fraction(3), 6, 10**6))
+        assert not report.exhaustive and report.found == ()
+        assert report.incomplete_branches
+        for branch in report.incomplete_branches:
+            assert re.fullmatch(r"p1=\d+ e1=\d+: recursion limit", branch), branch
