@@ -386,11 +386,12 @@ def _cyclotomic_pieces(p: int, n: int) -> list[tuple[int, int]]:
 def _primes_one_mod(k: int) -> tuple[int, ...]:
     """Primes q <= TRIAL_DIVISION_LIMIT with q = 1 (mod k), ascending.
 
-    k = 1 gives all of them, the trial primes of factorize, as a slice of
-    the sieve's tuple: its int objects are shared, not built again.
+    k = 1 gives all of them, the trial primes of factorize, and k = 2 the
+    odd ones, each as a slice of the sieve's tuple: its int objects are
+    shared, not built again.
     """
-    if k == 1:
-        return primes_upto(TRIAL_DIVISION_LIMIT)
+    if k <= 2:
+        return primes_upto(TRIAL_DIVISION_LIMIT)[k - 1 :]
     marks = _sieve_through(TRIAL_DIVISION_LIMIT).marks[: TRIAL_DIVISION_LIMIT + 1]
     return tuple(compress(range(k + 1, len(marks), k), marks[k + 1 :: k]))
 

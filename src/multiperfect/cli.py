@@ -3,7 +3,8 @@ signature extract/reconstruct, bounds, verify.
 
 Records go to stdout as JSON Lines, CSV, or an aligned table; diagnostics
 go to stderr. Exit codes: 0 success, 1 invalid input, 2 non-exhaustive
-search (factorization budget hit), 3 internal invariant violation.
+search (a branch cut by the factorization budget or the recursion limit),
+3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _search_exit(args, report) -> int:
     """0 for an exhaustive search; else 2, after naming the cut branches."""
     if report.exhaustive:
         return 0
-    _diag(args, f"{args.command}: NON-EXHAUSTIVE, factorization budget hit on: "
+    _diag(args, f"{args.command}: NON-EXHAUSTIVE, incomplete branches: "
           + "; ".join(report.incomplete_branches))
     return 2
 

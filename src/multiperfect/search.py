@@ -23,6 +23,7 @@ passed an exact sigma computation on its factorization.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -37,7 +38,6 @@ from .arithmetic import (
     prime_count_upto,
     primes_upto,
     sigma,
-    sigma_prime_power,
 )
 from .bounds import bound_report
 from .classify import is_primitive
@@ -132,11 +132,19 @@ class BoundCheck:
 class SearchReport:
     params: SearchParams
     found: tuple[FoundRecord, ...]
-    count_by_omega: dict[int, int]
     nodes_explored: int
     pruned_by: dict[str, int]
-    exhaustive: bool = True
     incomplete_branches: tuple[str, ...] = ()
+
+    @property
+    def exhaustive(self) -> bool:
+        """True when no branch was left incomplete."""
+        return not self.incomplete_branches
+
+    @property
+    def count_by_omega(self) -> dict[int, int]:
+        """How many found numbers have each omega, in order of first appearance."""
+        return dict(Counter(f.number.omega for f in self.found))
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +256,14 @@ class _Walk:
         "found", "nodes", "prunes",
     )
 
-    def __init__(
-        self, alpha: Fraction, rule: ChainRule, limit: int, depth_cap: int, p1: int
-    ):
+    def __init__(self, alpha: Fraction, limit: int, depth_cap: int, p1: int):
         self.num, self.den = alpha.numerator, alpha.denominator
         self.limit = limit
         self.depth_cap = depth_cap
         self.p1 = p1
         self.above_p1 = _primes_above(p1)
         self.below_p1 = _primes_below(p1)
-        self.rule = rule
+        self.rule = ChainRule(alpha)
         self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.nodes = 0
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
@@ -367,11 +373,11 @@ class _Walk:
 
 
 def _chain_task(args):
-    alpha, empty_rule, limit, depth_cap, p1, e1 = args
-    walk = _Walk(alpha, empty_rule.fresh(), limit, depth_cap, p1)
+    alpha, limit, depth_cap, p1, e1, child, child_sigma = args
+    walk = _Walk(alpha, limit, depth_cap, p1)
     incomplete: list[str] = []
     try:
-        walk.descend(p1, e1, p1**e1, sigma_prime_power(p1, e1))
+        walk.descend(p1, e1, child, child_sigma)
     except FactorizationExhausted as exc:
         incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
@@ -393,57 +399,48 @@ def chain_search(params: SearchParams) -> SearchReport:
     level; all later primes are derived. The p1 cap grows with omega, so
     this tree contains the tree of every smaller omega. Every state is
     tested for sigma(d) = alpha*d exactly, so reported numbers need no
-    chain to close early. A branch that hits the factorization budget is
-    recorded and flips the exhaustive flag instead of aborting the search.
+    chain to close early. A branch cut by the factorization budget or the
+    recursion limit is recorded as incomplete instead of aborting the search.
     """
     alpha = params.alpha
     num, den = alpha.numerator, alpha.denominator
 
+    limit, depth_cap = params.limit, params.max_omega
     starts = [] if params.parity == "odd_only" else [2]
-    starts += [p for p in primes_upto(_p1_cap(alpha, params.max_omega)) if p > 2]
-    empty_rule = ChainRule(alpha)
-    tasks = []
-    results = []
-    for p1 in starts:
-        # Each root p1^e1 is a child of the empty chain, cut by the same rules.
-        root = _Walk(alpha, empty_rule, params.limit, params.max_omega, p1)
-        for e1, _, _ in root.ladder(1, 1, p1, 1):
-            tasks.append((alpha, empty_rule, params.limit, params.max_omega, p1, e1))
-        results.append((root.found, root.nodes, root.prunes, []))
-
-    results += _map(_chain_task, tasks, params.worker_count, 8)
-
-    prunes = dict.fromkeys(PRUNE_RULES, 0)
+    starts += [p for p in primes_upto(_p1_cap(alpha, depth_cap)) if p > 2]
     # The cap cuts the ladder of odd p1 once, as the limit cuts each
     # exponent ladder once.
-    prunes["p1_bound"] += 1
+    prunes = Counter(dict.fromkeys(PRUNE_RULES, 0), p1_bound=1)
+    tasks = []
+    for p1 in starts:
+        # Each root p1^e1 is a child of the empty chain, cut by the same rules;
+        # its task descends it from the (e1, child, sigma(child)) kept here.
+        root = _Walk(alpha, limit, depth_cap, p1)
+        tasks += [(alpha, limit, depth_cap, p1, *k) for k in root.ladder(1, 1, p1, 1)]
+        prunes.update(root.prunes)
+
     nodes = 0
     incomplete: list[str] = []
     by_value: dict[int, tuple[tuple[int, int], ...]] = {}
+    results = _map(_chain_task, tasks, params.worker_count, 8)
     for found, task_nodes, task_prunes, task_incomplete in results:
         nodes += task_nodes
-        for rule, count in task_prunes.items():
-            prunes[rule] += count
-        incomplete.extend(task_incomplete)
-        for value, factors in found:
-            by_value[value] = factors
+        prunes.update(task_prunes)
+        incomplete += task_incomplete
+        by_value.update(found)
 
     records = []
-    count_by_omega: dict[int, int] = {}
     for value in sorted(by_value):
         fi = FactoredInteger(value, by_value[value])
         if sigma(fi) * den != num * value:
             raise AssertionError(f"chain result {value} failed sigma re-verification")
         records.append(FoundRecord(fi, is_primitive(fi)))
-        count_by_omega[fi.omega] = count_by_omega.get(fi.omega, 0) + 1
 
     return SearchReport(
         params=params,
         found=tuple(records),
-        count_by_omega=count_by_omega,
         nodes_explored=nodes,
-        pruned_by=prunes,
-        exhaustive=not incomplete,
+        pruned_by=dict(prunes),
         incomplete_branches=tuple(sorted(incomplete)),
     )
 

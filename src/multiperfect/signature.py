@@ -137,13 +137,6 @@ class ChainRule:
         self.excess.update(factorize(alpha.denominator).factors)
         self.used: dict[int, int] = {}
 
-    def fresh(self) -> "ChainRule":
-        """An empty chain for the same alpha, copied from this empty one."""
-        rule = ChainRule.__new__(ChainRule)
-        rule.excess = dict(self.excess)
-        rule.used = {}
-        return rule
-
     def _shift(self, sigma_factors: Sequence[tuple[int, int]], sign: int) -> None:
         excess = self.excess
         for q, k in sigma_factors:

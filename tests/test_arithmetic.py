@@ -226,6 +226,12 @@ class TestPrimes:
             expected = tuple(q for q in table if q % k == 1)
             assert _primes_one_mod.__wrapped__(k) == expected, k
 
+    def test_primes_one_mod_two_shares_the_sieve_ints(self):
+        table = primes_upto(TRIAL_DIVISION_LIMIT)
+        got = _primes_one_mod.__wrapped__(2)
+        assert got == tuple(q for q in table if q % 2 == 1)
+        assert all(a is b for a, b in zip(got, table[1:], strict=True))
+
     def test_growing_sieve_matches_sympy(self, monkeypatch):
         # a fresh table, asked for ever larger limits: the first call builds
         # the floor table, the last one grows it

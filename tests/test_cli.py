@@ -384,6 +384,7 @@ class TestFailureExits:
         )
         assert code == 2
         assert "NON-EXHAUSTIVE" in err and ": recursion limit" in err
+        assert "factorization budget" not in err
 
     def test_factorization_budget_hit_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(arithmetic, "DEFAULT_RHO_BUDGET", 0)

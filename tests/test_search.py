@@ -12,6 +12,7 @@ from multiperfect.arithmetic import (
     factorize,
     nu,
     nu_rational,
+    primes_upto,
     sigma,
     sigma_prime_power,
 )
@@ -581,6 +582,31 @@ class TestVerifyCounts:
         params = SearchParams(Fraction(2), 2, 2)
         report = chain_search(params)
         assert verify_counts(params, report) == []
+
+
+class TestTasks:
+    def test_each_task_descends_the_root_child_its_ladder_kept(self, monkeypatch):
+        alpha, limit, r = Fraction(3), 10**6, 6
+        task = search._chain_task
+        args_seen = []
+
+        def spy(args):
+            args_seen.append(args)
+            return task(args)
+
+        monkeypatch.setattr(search, "_chain_task", spy)
+        report = chain_search(SearchParams(alpha, r, limit, worker_count=1))
+        assert [f.number.value for f in report.found] == [120, 672, 523776]
+        for a, x, cap, p1, e1, child, child_sigma in args_seen:
+            assert (a, x, cap) == (alpha, limit, r)
+            assert child == p1**e1
+            assert child_sigma == sigma_prime_power(p1, e1)
+        roots = {
+            (p1, e1)
+            for p1 in primes_upto(search._p1_cap(alpha, r))
+            for e1, _, _ in search._Walk(alpha, limit, r, p1).ladder(1, 1, p1, 1)
+        }
+        assert [(args[3], args[4]) for args in args_seen] == sorted(roots)
 
 
 class TestReverification:
