@@ -3,6 +3,9 @@
 Two independent routes. ``brute_scan`` sieves divisor sums mod 2^16 over
 fixed-size blocks with paired-divisor accumulation, for a tuple of target
 abundancies: alpha alone, or for ``multiperfect_scan`` the integers 2..6.
+A block folds every divisor d of P = 55440 with d*d < lo, strictly, into
+one table: with n = q*P + c, those pairs sum to K[c] + q*R[c], two
+contiguous passes; each other d adds one strided slice (``_blocks``).
 Each n whose sigma(n)/n meets a target modulo 2^16 is a candidate, and an
 exact sigma of its factorization decides. It is the oracle.
 ``chain_search`` walks one tree of signature chains (p1, e1, ..., es) with
@@ -54,6 +57,11 @@ INTEGER_ABUNDANCIES = tuple(Fraction(k) for k in range(2, 7))
 # bound; a node that would need more of them is not cut by the ceiling.
 CEILING_SIEVE = 1 << 16
 
+# The largest p1 cap a search takes. chain_search sieves every prime up to the
+# cap, one byte per integer plus one int object per prime: about 60 MiB at
+# 2^24, growing linearly with max_omega.
+MAX_P1_CAP = 1 << 24
+
 PRUNE_RULES = (
     "product_exceeds_limit",
     "p1_bound",
@@ -103,6 +111,7 @@ class SearchParams:
         _check_args((self.alpha,), self.limit, self.parity, self.worker_count)
         if self.max_omega < 1:
             raise ValueError("max_omega must be >= 1")
+        _p1_cap(self.alpha, self.max_omega)  # refuses an oversized max_omega
 
     @property
     def omega_floor_pruning(self) -> bool:
@@ -203,9 +212,17 @@ def multiperfect_scan(limit: int, *, worker_count: int = 1) -> list[FactoredInte
 # ---------------------------------------------------------------------------
 
 def _p1_cap(alpha: Fraction, s: int) -> int:
-    """floor(alpha*s/(alpha-1)), the cap on the smallest prime of odd n."""
+    """floor(alpha*s/(alpha-1)), the cap on the smallest prime of odd n.
+
+    ValueError past MAX_P1_CAP, before any prime table is built.
+    """
     v = alpha * s / (alpha - 1)
-    return v.numerator // v.denominator
+    cap = v.numerator // v.denominator
+    if cap > MAX_P1_CAP:
+        raise ValueError(
+            f"max_omega {s} would sieve the primes up to {cap}, past {MAX_P1_CAP}"
+        )
+    return cap
 
 
 def _ceiling_steps(
@@ -451,9 +468,11 @@ def chain_count_majorant(alpha: Fraction, r: int, x: int) -> int:
     sum over s of pi(floor(alpha*s/(alpha-1))) * prod_i max{e : q_i^e <= x},
     with q_i the i-th odd prime. chain_search never explores more states.
     """
+    alpha = Fraction(alpha)
+    _p1_cap(alpha, r)  # the largest cap: refuse an oversized r before any table
     total = 0
     for s in range(1, r + 1):
-        count = prime_count_upto(_p1_cap(Fraction(alpha), s))
+        count = prime_count_upto(_p1_cap(alpha, s))
         prod = 1
         for i in range(1, s + 1):
             q = nth_odd_prime(i)

@@ -371,6 +371,16 @@ class TestArgumentErrors:
         code, _, _ = run_cli(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["chain-search", "verify"])
+    def test_oversized_max_omega_exits_1(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--alpha", "4", "--limit", "1000000",
+            "--max-omega", "1000000000", "--jobs", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "max_omega 1000000000" in err
+
 
 class TestFailureExits:
     def test_recursion_limit_exits_2(self, capsys, monkeypatch):

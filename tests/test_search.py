@@ -344,6 +344,21 @@ class TestChainSearch:
         with pytest.raises(ValueError):
             SearchParams(Fraction(2), 3, 100, worker_count=0)
 
+    def test_oversized_max_omega_is_refused_before_any_prime_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a prime table was built")
+
+        for name in ("primes_upto", "prime_count_upto", "nth_odd_prime"):
+            monkeypatch.setattr(search, name, no_table)
+        # alpha 2 caps p1 at 2r: r = 2^23 reaches MAX_P1_CAP exactly.
+        assert search._p1_cap(Fraction(2), 1 << 23) == search.MAX_P1_CAP
+        SearchParams(Fraction(2), 1 << 23, 100)
+        for r in ((1 << 23) + 1, 10**9):
+            with pytest.raises(ValueError, match="max_omega"):
+                SearchParams(Fraction(2), r, 100)
+            with pytest.raises(ValueError, match="max_omega"):
+                chain_count_majorant(Fraction(2), r, 100)
+
 
 def direct_next_prime(alpha: Fraction, chain) -> int | None:
     """The chain rule read straight off its definition."""
