@@ -278,8 +278,6 @@ def _split_into(
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

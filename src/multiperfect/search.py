@@ -18,8 +18,10 @@ lie below: the valuation budget (of every prime whose exponent in n is
 known, which also sets the least exponent of each ladder's prime),
 mandatory primes (their count and product), the abundancy ladder, the
 forced cofactor (the part of sigma(child) coprime to alpha's numerator
-and the child must divide m) and the abundancy ceiling; the walker
-``_Walk`` carries the proofs. Every number either route reports has
+and the child must divide m) and the abundancy ceiling. In the walker
+``_Walk``, ``visit`` handles one node (adds its prime power, tests it,
+recurses into the children kept, undoes it) and ``ladder`` holds every
+cut, each proof at its test. Every number either route reports has
 passed an exact sigma computation on its factorization.
 """
 
@@ -253,12 +255,6 @@ def _primes_above(p1: int) -> tuple[int, ...]:
     return primes[bisect_right(primes, p1) :]
 
 
-@cache
-def _primes_below(p1: int) -> tuple[tuple[int, int], ...]:
-    """(q, 0) for each prime q < p1: no n with smallest prime p1 has q."""
-    return tuple((q, 0) for q in primes_upto(p1 - 1))
-
-
 class _Walk:
     """One walk from a root p1: its constants, chain rule and counters.
 
@@ -279,55 +275,57 @@ class _Walk:
         self.depth_cap = depth_cap
         self.p1 = p1
         self.above_p1 = _primes_above(p1)
-        self.below_p1 = _primes_below(p1)
+        self.below_p1 = tuple((q, 0) for q in primes_upto(p1 - 1))
         self.rule = ChainRule(alpha)
         self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.nodes = 0
         self.prunes = dict.fromkeys(PRUNE_RULES, 0)
 
-    def descend(self, p: int, e: int, product: int, sigma_prod: int) -> None:
-        """Visit the child chain * p^e of the given product and sigma."""
-        sigma_factors = factored_sigma_prime_power(p, e)
-        self.rule.add(p, e, sigma_factors)
-        self.visit(product, sigma_prod)
-        self.rule.undo(p, sigma_factors)
-
-    def visit(self, product: int, sigma_prod: int) -> None:
-        """Visit one chain node, then the children on its next prime's ladder."""
-        self.nodes += 1
+    def visit(self, p: int, e: int, product: int, sigma_prod: int) -> None:
+        """Visit node chain * p^e, of the given product and sigma, and its subtree."""
         rule = self.rule
+        sigma_factors = factored_sigma_prime_power(p, e)
+        rule.add(p, e, sigma_factors)
+        self.nodes += 1
         # The ladder keeps no child whose abundancy exceeds alpha.
         if self.den * sigma_prod == self.num * product:
+            # The walk's cuts assume p1 is n's smallest prime; under odd_only,
+            # p1 >= 3 then also makes n odd.
+            if min(rule.used) != self.p1:
+                raise AssertionError(
+                    f"chain result {product} has a prime below p1={self.p1}"
+                )
             self.found.append((product, tuple(sorted(rule.used.items()))))
-            return
-        mandatory = rule.mandatory()
-        if not mandatory:
+        elif mandatory := rule.mandatory():
+            for child in self.ladder(product, sigma_prod, mandatory):
+                self.visit(*child)
+        else:
             self.prunes["chain_broken"] += 1
-            return
-        nxt = min(mandatory)
-        if len(rule.used) + len(mandatory) > self.depth_cap:
-            # Every mandatory prime divides m (ChainRule.mandatory), so
-            # omega(n) >= len(used) + len(mandatory). This also ends the walk at
-            # depth depth_cap.
-            self.prunes["mandatory_primes"] += 1
-            return
-        # The other mandatory primes divide m too, so n >= child * rest.
-        rest = prod(mandatory) // nxt
-        for e, child, child_sigma in self.ladder(product, sigma_prod, nxt, rest):
-            self.descend(nxt, e, child, child_sigma)
+        rule.undo(p, sigma_factors)
 
-    def ladder(self, product: int, sigma_prod: int, nxt: int, rest: int):
-        """Yield (e, child, sigma(child)) for each child = product * nxt^e kept.
+    def ladder(self, product: int, sigma_prod: int, mandatory: list[int]):
+        """Yield (nxt, e, child, sigma(child)) for each child = product * nxt^e kept.
 
-        n = child * m, m coprime to child, stands for any number the child's
-        subtree could hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest
-        prime, m is a multiple of rest and has at most free primes, none of
-        them used or nxt. A child, or the rest of the ladder, is cut only where
-        no such n exists, and before sigma(nxt^e) is factored.
+        nxt is the least of the node's mandatory primes. n = child * m, m
+        coprime to child, stands for any number the child's subtree could
+        hold: n <= limit, sigma(n) = alpha*n, p1 is n's smallest prime, m is
+        a multiple of rest, the product of the other mandatory primes, and
+        has at most free primes, none of them used or nxt. A child, or the
+        rest of the ladder, is cut only where no such n exists, and before
+        sigma(nxt^e) is factored.
         """
         num, den, limit, prunes = self.num, self.den, self.limit, self.prunes
         rule = self.rule
         free = self.depth_cap - len(rule.used) - 1
+        nxt = min(mandatory)
+        if len(mandatory) - 1 > free:
+            # Every mandatory prime divides n (ChainRule.mandatory), so the
+            # ones other than nxt divide m: more primes than m may have, at
+            # every e. This also ends the walk at depth depth_cap.
+            prunes["mandatory_primes"] += 1
+            return
+        # The other mandatory primes divide m too, so n >= child * rest.
+        rest = prod(mandatory) // nxt
         # nxt divides no sigma(nxt^e), so nu_nxt of S*sigma(nxt^e)*sigma(m) =
         # alpha*n gives e = excess + nu_nxt(sigma(m)) >= nxt's excess in rule.
         # The max is for a root, whose p1 may divide alpha's numerator. From
@@ -386,7 +384,7 @@ class _Walk:
                     if lhs * steps[k][0] <= rhs * steps[k][1]:
                         prunes["abundancy_ceiling"] += 1
                         continue
-            yield e, child, child_sigma
+            yield nxt, e, child, child_sigma
 
 
 def _chain_task(args):
@@ -394,16 +392,11 @@ def _chain_task(args):
     walk = _Walk(alpha, limit, depth_cap, p1)
     incomplete: list[str] = []
     try:
-        walk.descend(p1, e1, child, child_sigma)
+        walk.visit(p1, e1, child, child_sigma)
     except FactorizationExhausted as exc:
         incomplete.append(f"p1={p1} e1={e1}: {exc}")
     except RecursionError:
         incomplete.append(f"p1={p1} e1={e1}: recursion limit")
-    for value, factors in walk.found:
-        # The walk's cuts assume p1 is n's smallest prime; under odd_only, p1
-        # >= 3 then also makes n odd.
-        if factors[0][0] != p1:
-            raise AssertionError(f"chain result {value} has a prime below p1={p1}")
     return walk.found, walk.nodes, walk.prunes, incomplete
 
 
@@ -431,9 +424,9 @@ def chain_search(params: SearchParams) -> SearchReport:
     tasks = []
     for p1 in starts:
         # Each root p1^e1 is a child of the empty chain, cut by the same rules;
-        # its task descends it from the (e1, child, sigma(child)) kept here.
+        # its task visits it from the (p1, e1, child, sigma(child)) kept here.
         root = _Walk(alpha, limit, depth_cap, p1)
-        tasks += [(alpha, limit, depth_cap, p1, *k) for k in root.ladder(1, 1, p1, 1)]
+        tasks += [(alpha, limit, depth_cap, *k) for k in root.ladder(1, 1, [p1])]
         prunes.update(root.prunes)
 
     nodes = 0
@@ -471,18 +464,19 @@ def chain_count_majorant(alpha: Fraction, r: int, x: int) -> int:
     alpha = Fraction(alpha)
     _p1_cap(alpha, r)  # the largest cap: refuse an oversized r before any table
     total = 0
+    ladders = 1  # prod over i <= s of max{e : q_i^e <= x}
     for s in range(1, r + 1):
-        count = prime_count_upto(_p1_cap(alpha, s))
-        prod = 1
-        for i in range(1, s + 1):
-            q = nth_odd_prime(i)
-            e = 0
-            power = q
-            while power <= x:
-                e += 1
-                power *= q
-            prod *= e
-        total += count * prod
+        q = nth_odd_prime(s)
+        e = 0
+        power = q
+        while power <= x:
+            e += 1
+            power *= q
+        ladders *= e
+        if not ladders:
+            # q_s > x: this term and every later one is 0.
+            break
+        total += prime_count_upto(_p1_cap(alpha, s)) * ladders
     return total
 
 

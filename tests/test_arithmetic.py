@@ -194,10 +194,15 @@ class TestPrimes:
         assert nth_odd_prime(2) == 5
         assert nth_odd_prime(10) == 31
 
-    def test_nth_odd_prime_against_sieve(self):
+    def test_nth_odd_prime_against_sieve(self, monkeypatch):
         odd_primes = [p for p in primes_upto(10**4) if p > 2]
         for i in (1, 5, 50, 500, len(odd_primes)):
             assert nth_odd_prime(i) == odd_primes[i - 1]
+        # From a cold table, which holds no prime, both calls must grow it.
+        monkeypatch.setattr(arithmetic, "_sieve", arithmetic._Sieve(1))
+        assert nth_odd_prime(1) == 3
+        # The 20001st prime (sympy.prime(20001)), past the first 2^17 table.
+        assert nth_odd_prime(20000) == 224743
 
     def test_prime_count(self):
         assert prime_count_upto(10) == 4

@@ -384,7 +384,7 @@ class TestArgumentErrors:
 
 class TestFailureExits:
     def test_recursion_limit_exits_2(self, capsys, monkeypatch):
-        def too_deep(walk, product, sigma_prod):
+        def too_deep(walk, p, e, product, sigma_prod):
             raise RecursionError
 
         monkeypatch.setattr(search._Walk, "visit", too_deep)

@@ -1,4 +1,6 @@
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, prod
 
@@ -284,6 +286,21 @@ class TestChainSearch:
             report = chain_search(SearchParams(alpha, r, x, parity))
             assert report.nodes_explored <= chain_count_majorant(alpha, r, x)
 
+    def test_majorant_stops_at_the_first_empty_ladder(self, monkeypatch):
+        # The 25th odd prime, 101, exceeds x = 100: every term from s = 25 on
+        # is 0, so r = 2^23 sums what r = 30 does, from 25 odd primes.
+        expected = chain_count_majorant(Fraction(2), 30, 100)
+        nth = search.nth_odd_prime
+        calls = []
+
+        def counted(i):
+            calls.append(i)
+            assert len(calls) <= 25, "the majorant kept looping past q > x"
+            return nth(i)
+
+        monkeypatch.setattr(search, "nth_odd_prime", counted)
+        assert chain_count_majorant(Fraction(2), 1 << 23, 100) == expected == 3236
+
     def test_prune_counters_present(self):
         report = chain_search(SearchParams(Fraction(3), 6, 10**6))
         assert set(report.pruned_by) == set(search.PRUNE_RULES)
@@ -394,6 +411,15 @@ def direct_excess(alpha: Fraction, chain) -> dict[int, int]:
     return {q: x for q, x in excess.items() if x}
 
 
+@contextmanager
+def node_rule(walk, p, e):
+    """walk.rule with p^e added, as visit holds it at that node; undone on exit."""
+    factors = factored_sigma_prime_power(p, e)
+    walk.rule.add(p, e, factors)
+    yield walk.rule
+    walk.rule.undo(p, factors)
+
+
 class TestChainRule:
     @pytest.mark.parametrize(
         "alpha,limit",
@@ -405,20 +431,22 @@ class TestChainRule:
         visit = search._Walk.visit
         prefixes = []
 
-        def checked(walk, product, sigma_prod):
+        def checked(walk, p, e, product, sigma_prod):
             rule = walk.rule
-            chain = tuple(rule.used.items())
-            before = (dict(rule.excess), chain)
-            assert prod(p**e for p, e in chain) == product, chain
-            assert prod(sigma_prime_power(p, e) for p, e in chain) == sigma_prod
-            nxt = rule.next_prime()
-            assert nxt == direct_next_prime(alpha, chain), chain
-            below = walk.below_p1
-            assert rule.budget_moduli(below) == direct_budget(alpha, chain, below)
-            assert rule.excess == direct_excess(alpha, chain), chain
+            before = (dict(rule.excess), tuple(rule.used.items()))
+            with node_rule(walk, p, e):
+                chain = tuple(rule.used.items())
+                assert chain == (*before[1], (p, e))
+                assert prod(q**k for q, k in chain) == product, chain
+                assert prod(sigma_prime_power(q, k) for q, k in chain) == sigma_prod
+                nxt = rule.next_prime()
+                assert nxt == direct_next_prime(alpha, chain), chain
+                below = walk.below_p1
+                assert rule.budget_moduli(below) == direct_budget(alpha, chain, below)
+                assert rule.excess == direct_excess(alpha, chain), chain
             prefixes.append(chain)
-            visit(walk, product, sigma_prod)
-            # every child added below this node has been undone exactly
+            visit(walk, p, e, product, sigma_prod)
+            # the node and every child added below it have been undone exactly
             assert (rule.excess, tuple(rule.used.items())) == before, chain
 
         monkeypatch.setattr(search._Walk, "visit", checked)
@@ -437,11 +465,12 @@ class TestChainRule:
         visit = search._Walk.visit
         visits = []
 
-        def checked(walk, product, sigma_prod):
-            moduli = walk.rule.budget_moduli(walk.below_p1)
-            assert 1 not in moduli, (tuple(walk.rule.used.items()), moduli)
+        def checked(walk, p, e, product, sigma_prod):
+            with node_rule(walk, p, e) as rule:
+                moduli = rule.budget_moduli(walk.below_p1)
+                assert 1 not in moduli, (tuple(rule.used.items()), moduli)
             visits.append(product)
-            visit(walk, product, sigma_prod)
+            visit(walk, p, e, product, sigma_prod)
 
         monkeypatch.setattr(search._Walk, "visit", checked)
         report = chain_search(SearchParams(alpha, 20, 10**30, parity))
@@ -503,36 +532,35 @@ class TestPruneExactness:
 
     A child c = product * nxt^e with c <= limit that the ladder does not
     yield was cut by a rule (e below nxt's floor among them), and so was a
-    node cut by the mandatory-prime count. Neither may be a unitary divisor
-    of an n <= limit, with omega(n) <= r and p1 as its smallest prime, that
-    the sieve finds.
+    node whose whole ladder the mandatory-prime count cut. Neither may be
+    a unitary divisor of an n <= limit, with omega(n) <= r and p1 as its
+    smallest prime, that the sieve finds.
     """
 
     @staticmethod
     def cut_subtrees(params, monkeypatch):
         cuts = []
-        ladder, visit = search._Walk.ladder, search._Walk.visit
+        ladder = search._Walk.ladder
         limit = params.limit
 
-        def recording_ladder(walk, product, sigma_prod, nxt, *rest):
+        def recording_ladder(walk, product, sigma_prod, mandatory):
+            count = walk.prunes["mandatory_primes"]
             kept = set()
-            for item in ladder(walk, product, sigma_prod, nxt, *rest):
-                kept.add(item[0])
+            for item in ladder(walk, product, sigma_prod, mandatory):
+                kept.add(item[1])
                 yield item
+            # With no child kept, nothing below ran: the count moved here.
+            if not kept and walk.prunes["mandatory_primes"] == count + 1:
+                cuts.append((product, walk.p1))
+                return
+            nxt = min(mandatory)
             e, power = 1, nxt
             while product * power <= limit:
                 if e not in kept:
                     cuts.append((product * power, walk.p1))
                 e, power = e + 1, power * nxt
 
-        def recording_visit(walk, product, sigma_prod):
-            nodes, count = walk.nodes, walk.prunes["mandatory_primes"]
-            visit(walk, product, sigma_prod)
-            if (walk.nodes, walk.prunes["mandatory_primes"]) == (nodes + 1, count + 1):
-                cuts.append((product, walk.p1))
-
         monkeypatch.setattr(search._Walk, "ladder", recording_ladder)
-        monkeypatch.setattr(search._Walk, "visit", recording_visit)
         report = chain_search(params)
         monkeypatch.undo()
         return cuts, report
@@ -619,9 +647,28 @@ class TestTasks:
         roots = {
             (p1, e1)
             for p1 in primes_upto(search._p1_cap(alpha, r))
-            for e1, _, _ in search._Walk(alpha, limit, r, p1).ladder(1, 1, p1, 1)
+            for _, e1, _, _ in search._Walk(alpha, limit, r, p1).ladder(1, 1, [p1])
         }
         assert [(args[3], args[4]) for args in args_seen] == sorted(roots)
+
+    def test_one_frame_per_chain_level(self, monkeypatch):
+        # visit recurses into itself alone: below a task's root, each chain
+        # level adds one Python frame, so the stack depth at every ladder
+        # call, less the chain's length, stays the same.
+        ladder = search._Walk.ladder
+        offsets = set()
+
+        def depth_ladder(walk, *args):
+            if walk.rule.used:  # a task walk, not the roots' ladders
+                depth, frame = 0, sys._getframe().f_back
+                while frame is not None:
+                    depth, frame = depth + 1, frame.f_back
+                offsets.add(depth - len(walk.rule.used))
+            return ladder(walk, *args)
+
+        monkeypatch.setattr(search._Walk, "ladder", depth_ladder)
+        report = chain_search(SearchParams(Fraction(3), 6, 10**6))
+        assert report.nodes_explored > 0 and len(offsets) == 1, offsets
 
 
 class TestReverification:
@@ -678,7 +725,7 @@ class TestSafetyPaths:
         assert short.nodes_explored >= full.nodes_explored
 
     def test_recursion_limit_is_reported(self, monkeypatch):
-        def too_deep(walk, product, sigma_prod):
+        def too_deep(walk, p, e, product, sigma_prod):
             raise RecursionError
 
         monkeypatch.setattr(search._Walk, "visit", too_deep)
