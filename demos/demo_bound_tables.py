@@ -32,7 +32,7 @@ print(f"minimum odd prime counts: alpha=2 -> {omega_floor(2)},"
 print("\n=== count bounds at x = 10^8 ===\n")
 x = 10**8
 for r in [9, 10, 12]:
-    prim = primitive_count_bound(Fraction(2), r, x, integer_alpha=True)
+    prim = primitive_count_bound(Fraction(2), r, x)
     multi = multiperfect_count_bound(2, r, x)
     print(f"r = {r:>2}: odd primitive 2-perfect count <= {prim.decimal(6)[1]},"
           f" odd 2-perfect count <= {multi.decimal(6)[1]}")

@@ -54,16 +54,6 @@ class Interval:
             return self.lower <= other.lower and other.upper <= self.upper
         return self.lower <= other <= self.upper
 
-    def strictly_below(self, bound: Number) -> bool:
-        return self.upper < bound
-
-    def strictly_above(self, bound: Number) -> bool:
-        return self.lower > bound
-
-    def separated_below(self, other: "Interval") -> bool:
-        """True when every point here is below every point of other."""
-        return self.upper < other.lower
-
     def decimal(self, digits: int = 20) -> tuple[str, str]:
         """Outward-rounded scientific-notation endpoint strings."""
         return (
@@ -171,12 +161,7 @@ def count_coefficient(r: int) -> Interval:
     return _rigorous(build)
 
 
-def primitive_count_bound(
-    alpha: Fraction,
-    r: int,
-    x: Optional[Number],
-    integer_alpha: bool = False,
-) -> Interval:
+def primitive_count_bound(alpha: Fraction, r: int, x: Optional[Number]) -> Interval:
     """Bound on the number of odd primitive alpha-perfect n <= x, omega <= r.
 
     1.31 * alpha/(alpha-1) * (ln x)^r in general; 0.05 * (ln x)^r when alpha
@@ -188,13 +173,11 @@ def primitive_count_bound(
     if r < 1:
         raise ValueError("r must be >= 1")
     _require_limit(x)
-    if integer_alpha and alpha.denominator != 1:
-        raise ValueError("integer_alpha requires an integer alpha")
     ratio = alpha / (alpha - 1)
 
     def build(iv):
         lx = _log_limit(iv, r, x)
-        if integer_alpha:
+        if alpha.denominator == 1:
             return _iv_number(iv, Fraction(5, 100)) * lx**r
         return _iv_number(iv, Fraction(131, 100)) * _iv_number(iv, ratio) * lx**r
 
@@ -258,18 +241,17 @@ def _chain_check(k: int, r: int, lhs: Optional[Interval]) -> list[tuple[str, boo
     if lhs is None:
         lhs = multiperfect_count_bound(k, r, None)
     if mid_expo.denominator == 1:
-        mid_ok = lhs.strictly_below(k * 4 ** int(mid_expo)) and (
-            k * 4 ** int(mid_expo) <= final
-        )
+        mid = k * 4 ** int(mid_expo)
+        mid_ok = lhs.upper < mid <= final
     else:
         mid = _rigorous(
             lambda iv: iv.mpf(k) * iv.exp(iv.log(iv.mpf(4)) * _iv_number(iv, mid_expo))
         )
-        mid_ok = lhs.separated_below(mid) and mid.strictly_below(final)
+        mid_ok = lhs.upper < mid.lower and mid.upper < final
 
     return [
-        ("ln 2 < 1 (natural log keeps ln x below 4^r)", ln2.strictly_below(1)),
-        (f"ln(2^(4^{r})) < 4^{r}", lnx.strictly_below(4**r)),
+        ("ln 2 < 1 (natural log keeps ln x below 4^r)", ln2.upper < 1),
+        (f"ln(2^(4^{r})) < 4^{r}", lnx.upper < 4**r),
         (
             f"r*(r^2+8r)/9 = (r^3+8r^2)/9 for r={r}",
             r * q == mid_expo,
@@ -289,13 +271,10 @@ def _chain_check(k: int, r: int, lhs: Optional[Interval]) -> list[tuple[str, boo
 class BoundReport:
     """All bound values for one (alpha, r, x) triple.
 
-    ``x = None`` stands for the conceptual limit 2^(4^r). Integer-only
-    fields are None for non-integer alpha; absolute_count is exact.
+    Integer-only fields are None for non-integer alpha; absolute_count is
+    exact.
     """
 
-    alpha: Fraction
-    r: int
-    x: Optional[Number]
     f_values: dict[int, Interval]
     primitive_count: Interval
     multiperfect_count: Optional[Interval]
@@ -304,19 +283,19 @@ class BoundReport:
 
 
 def bound_report(alpha: Fraction, r: int, x: Optional[Number] = None) -> BoundReport:
-    """Evaluate every bound at (alpha, r, x) plus f(1..r) and the chain check."""
+    """Evaluate every bound at (alpha, r, x) plus f(1..r) and the chain check.
+
+    ``x = None`` stands for the conceptual limit 2^(4^r).
+    """
     alpha = Fraction(alpha)
     integer = alpha.denominator == 1
     f_values = {i: count_coefficient(i) for i in range(1, r + 1)}
-    primitive = primitive_count_bound(alpha, r, x, integer_alpha=integer)
+    primitive = primitive_count_bound(alpha, r, x)
     multi = multiperfect_count_bound(int(alpha), r, x) if integer else None
     exact = integer and r <= MAX_ABSOLUTE_R
     absolute = absolute_count_bound(int(alpha), r) if exact else None
     chain = _chain_check(int(alpha), r, multi if x is None else None) if exact else []
     return BoundReport(
-        alpha=alpha,
-        r=r,
-        x=x,
         f_values=f_values,
         primitive_count=primitive,
         multiperfect_count=multi,

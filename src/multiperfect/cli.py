@@ -80,12 +80,6 @@ def _parse_exponents(text: str) -> list[int]:
     return exponents
 
 
-def _alpha_str(alpha: Fraction) -> str:
-    if alpha.denominator == 1:
-        return str(alpha.numerator)
-    return f"{alpha.numerator}/{alpha.denominator}"
-
-
 def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -113,7 +107,7 @@ def _record(fi: FactoredInteger, alpha: Fraction, primitive: bool, source: str) 
     return {
         **_number(fi),
         "omega": fi.omega,
-        "alpha": _alpha_str(alpha),
+        "alpha": str(alpha),
         "primitive": primitive,
         "source": source,
     }
@@ -213,7 +207,7 @@ def _cmd_classify(args) -> int:
     payload = {
         **_number(fi),
         "omega": fi.omega,
-        "alpha": _alpha_str(perf.alpha),
+        "alpha": str(perf.alpha),
         "status": perf.status,
         "multiperfect": perf.multiperfect,
         "rational_multiperfect": perf.rational_multiperfect,
@@ -252,7 +246,7 @@ def _cmd_signature_extract(args) -> int:
     sig = extract_signature(fi)
     payload = {
         "n": str(fi.value),
-        "alpha": _alpha_str(sig.alpha),
+        "alpha": str(sig.alpha),
         "p1": sig.p1,
         "exponents": list(sig.exponents),
         "chain_primes": list(sig.chain_primes),
@@ -268,7 +262,7 @@ def _cmd_signature_extract(args) -> int:
 def _cmd_signature_reconstruct(args) -> int:
     result = reconstruct(args.alpha, args.p1, args.exponents)
     payload = {
-        "alpha": _alpha_str(args.alpha),
+        "alpha": str(args.alpha),
         "p1": args.p1,
         "exponents": args.exponents,
         "value": str(result.number.value) if result.ok else None,
@@ -308,7 +302,7 @@ def _cmd_bounds(args) -> int:
             row["chain_check"] = all(ok for _, ok in report.chain_inequalities)
         rows.append(row)
     summary = {
-        "alpha": _alpha_str(args.alpha),
+        "alpha": str(args.alpha),
         "limit": str(args.limit) if args.limit else "2^(4^r)",
         "rows": rows,
     }
@@ -360,7 +354,7 @@ def _cmd_verify(args) -> int:
     chain_primitive = {rec["n"] for rec in chain_records if rec["primitive"]}
     checks = verify_counts(params, report)
     summary = {
-        "alpha": _alpha_str(params.alpha),
+        "alpha": str(params.alpha),
         "limit": str(params.limit),
         "max_omega": params.max_omega,
         "parity": params.parity,

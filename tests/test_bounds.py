@@ -47,12 +47,6 @@ class TestInterval:
         assert box.contains(Interval(Fraction(5, 4), Fraction(7, 4)))
         assert not box.contains(Fraction(3))
 
-    def test_comparisons(self):
-        box = Interval(Fraction(1), Fraction(2))
-        assert box.strictly_below(3)
-        assert box.strictly_above(Fraction(1, 2))
-        assert box.separated_below(Interval(Fraction(5, 2), Fraction(3)))
-
     def test_decimal_strings_bracket_the_value(self):
         box = Interval(Fraction(1, 3), Fraction(1, 3))
         lo, hi = box.decimal(10)
@@ -111,10 +105,10 @@ class TestDecimalStr:
 
 class TestCountCoefficient:
     def test_f3_below_printed_constant(self):
-        assert count_coefficient(3).strictly_below(Fraction(131, 100))
+        assert count_coefficient(3).upper < Fraction(131, 100)
 
     def test_f9_below_printed_constant(self):
-        assert count_coefficient(9).strictly_below(Fraction(22, 1000))
+        assert count_coefficient(9).upper < Fraction(22, 1000)
 
     def test_f1_value(self):
         # 1/(2 ln 3) evaluated independently
@@ -179,24 +173,24 @@ class TestCountCoefficient:
 
 class TestPrimitiveCountBound:
     def test_rational_form(self):
-        box = primitive_count_bound(Fraction(3), 6, 10**6)
+        box = primitive_count_bound(Fraction(5, 2), 6, 10**6)
         expected = high_precision(
-            lambda: mp.mpf("1.31") * mp.mpf(3) / 2 * mp.log(10**6) ** 6
+            lambda: mp.mpf("1.31") * mp.mpf(5) / 3 * mp.log(10**6) ** 6
         )
         # 1.31 is exact in the implementation; the mp cross-check uses a
         # decimal parse, so allow its tiny conversion slack
         assert abs(box.midpoint - expected) <= Fraction(1, 10**6) * expected
 
     def test_integer_form(self):
-        box = primitive_count_bound(Fraction(2), 9, 10**8, integer_alpha=True)
+        box = primitive_count_bound(Fraction(2), 9, 10**8)
         expected = high_precision(lambda: mp.mpf(1) / 20 * mp.log(10**8) ** 9)
         assert box.contains(expected)
 
     def test_ratio_between_forms(self):
-        rational = primitive_count_bound(Fraction(2), 4, 1000)
-        integer = primitive_count_bound(Fraction(2), 4, 1000, integer_alpha=True)
-        # rational/integer = 1.31*2/0.05 = 52.4 exactly
-        ratio = Fraction(131, 100) * 2 / Fraction(5, 100)
+        rational = primitive_count_bound(Fraction(5, 2), 4, 1000)
+        integer = primitive_count_bound(Fraction(2), 4, 1000)
+        # rational/integer = 1.31*(5/3)/0.05 = 131/3 exactly
+        ratio = Fraction(131, 100) * Fraction(5, 3) / Fraction(5, 100)
         assert integer.lower * ratio <= rational.upper
         assert rational.lower <= integer.upper * ratio
 
@@ -207,8 +201,6 @@ class TestPrimitiveCountBound:
             primitive_count_bound(Fraction(2), 0, 100)
         with pytest.raises(ValueError):
             primitive_count_bound(Fraction(2), 3, 2)
-        with pytest.raises(ValueError):
-            primitive_count_bound(Fraction(3, 2), 3, 100, integer_alpha=True)
 
 
 class TestMultiperfectCountBound:
@@ -310,4 +302,16 @@ class TestBoundReport:
         # x = None evaluates at x = 2^(4^r): ln x = 4^r * ln 2
         report = bound_report(Fraction(2), 2, None)
         expected = high_precision(lambda: mp.mpf(1) / 20 * (16 * mp.log(2)) ** 2)
+        assert report.primitive_count.contains(expected)
+
+    @pytest.mark.parametrize(
+        "alpha, constant",
+        [(Fraction(3), lambda: mp.mpf(5) / 100),
+         (Fraction(3, 2), lambda: mp.mpf(131) / 100 * 3)],
+    )
+    def test_primitive_form_follows_alpha(self, alpha, constant):
+        # integer alpha takes 0.05 (ln x)^r, else 1.31 alpha/(alpha-1) (ln x)^r
+        report = bound_report(alpha, 3, 10**5)
+        assert report.primitive_count == primitive_count_bound(alpha, 3, 10**5)
+        expected = high_precision(lambda: constant() * mp.log(10**5) ** 3)
         assert report.primitive_count.contains(expected)
