@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 
 # Trial division handles everything below this; larger cofactors go to rho.
@@ -201,56 +201,52 @@ def _pollard_rho(n: int, budget: int, k: int = 2) -> tuple[int | None, int]:
     k = 2 is the classical map. An even k > 2 pays off when every prime
     factor q of n is 1 mod k: x^k then takes only (q - 1)/k + 1 values
     mod q, so the walk cycles about sqrt(k - 1) times sooner.
-    Each map evaluation is one step: the r that advance x, the batches
-    multiplied into q, the backtrack. The walk stops when the steps reach
-    the budget, and a batch cut short gets no gcd, so a call that finishes
-    within its budget returns what any larger budget returns.
-    Returns (factor, steps_used); factor is None if the budget ran out.
+    The budget and the charge returned are in steps of x^2 + c. An
+    evaluation of x^k + c, k > 2, is charged k.bit_length(): pow squares
+    k.bit_length() - 1 times and multiplies once per further set bit, and
+    measured with CPython 3.11 on 11-40-digit cofactors it cost 3.4-5.9
+    steps of x^2 + c for k = 14..118, against a charge of 4-7. A gcd
+    follows each batch of up to 128 evaluations (Brent, BIT 20, 1980),
+    and the walk stops, spending nothing, before a round's advance of x
+    plus first batch, a later batch or a backtrack step that the budget
+    left cannot pay for. So a call that finishes within its budget
+    returns what any larger budget returns, and a give-up charges no
+    step after its last reachable gcd.
+    Returns (factor, steps charged); factor is None if the budget ran out.
     """
+    cost = 1 if k == 2 else k.bit_length()
     steps = 0
     for c in range(1, 1000):
-        y, r, q = 2, 1, 1
-        g, ys, x = 1, 2, 2
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + (r + min(128, r)) * cost > budget:
+                return None, steps
             x = y
-            advance = min(r, budget - steps)
-            for _ in range(advance):
+            for _ in range(r):
                 y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
-            steps += advance
+            steps += r * cost
             j = 0
             while j < r and g == 1:
+                batch = min(128, r - j)
+                if steps + batch * cost > budget:
+                    return None, steps
                 ys = y
-                full = min(128, r - j)
-                batch = min(full, budget - steps)
                 for _ in range(batch):
                     y = (y * y + c) % n if k == 2 else (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
-                steps += batch
-                if batch < full:
-                    return None, steps
+                steps += batch * cost
                 g = gcd(q, n)
                 j += batch
             r *= 2
         if g == n:
             g = 1
-            while g == 1 and steps < budget:
+            while g == 1 and steps + cost <= budget:
                 ys = (ys * ys + c) % n if k == 2 else (pow(ys, k, n) + c) % n
                 g = gcd(abs(x - ys), n)
-                steps += 1
+                steps += cost
         if 1 < g < n:
             return g, steps
     return None, steps
-
-
-def _rho_step_cost(k: int) -> int:
-    """One step of x^k + c, charged in steps of x^2 + c.
-
-    pow(y, k, n) squares k.bit_length() - 1 times and multiplies once per
-    further set bit; measured with CPython 3.11 on 11-40-digit cofactors,
-    a step for k = 14..118 cost 3.4-5.9 steps of x^2 + c. The charge
-    k.bit_length() (4-7 there) is at least that.
-    """
-    return 1 if k == 2 else k.bit_length()
 
 
 def _split_into(
@@ -263,10 +259,11 @@ def _split_into(
 ) -> int:
     """Add the prime factors of n to found; return the rho budget left.
 
-    Trial division runs over trial_primes (ascending) while their square
-    does not exceed the cofactor; what remains is split by rho on x^k + c,
-    each step charged _rho_step_cost(k) from the budget. ``whole`` is the
-    number being factored, for the error message.
+    Trial division runs over trial_primes (ascending, or the primes of a
+    piece's d and then ascending) while their square does not exceed the
+    cofactor; what remains is split by rho on x^k + c, each call's charge
+    taken from the budget. ``whole`` is the number being factored, for
+    the error message.
     """
     for p in trial_primes:
         if p * p > n:
@@ -274,15 +271,14 @@ def _split_into(
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    cost = _rho_step_cost(k)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
-        d, used = _pollard_rho(m, budget // cost, k)
-        budget -= used * cost
+        d, used = _pollard_rho(m, budget, k)
+        budget -= used
         if d is None:
             raise FactorizationExhausted(
                 f"cofactor {m} of {whole} exceeded the factorization budget"
@@ -406,12 +402,12 @@ def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
 
     sigma(p^e) = prod of Phi_d(p) over the divisors d > 1 of e + 1, and
     each cyclotomic piece is factored on its own. A prime factor of
-    Phi_d(p) divides d or is 1 mod d, so once the primes of d are divided
-    out, trial division needs only the primes q = 1 (mod k) and rho
-    iterates x^k + c, with k = d for even d and k = 2d for odd d (odd
-    q = 1 mod d is then 1 mod 2d). One rho budget of DEFAULT_RHO_BUDGET
-    x^2 + c steps covers all pieces, each step charged by its cost in such
-    steps, so a budget hit takes no longer than on the unsplit value.
+    Phi_d(p) divides d or is 1 mod d, so trial division takes the primes
+    of d and then only the primes q = 1 (mod k), and rho iterates x^k + c,
+    with k = d for even d and k = 2d for odd d (odd q = 1 mod d is then
+    1 mod 2d). One rho budget of DEFAULT_RHO_BUDGET x^2 + c steps covers
+    all pieces, and rho charges each evaluation of x^k + c its cost in
+    such steps, so a budget hit takes no longer than on the unsplit value.
     Exponents are merged across pieces: a prime of e + 1 can divide two.
     A budget hit raises the same FactorizationExhausted on every repeat,
     without factoring again.
@@ -424,13 +420,10 @@ def factored_sigma_prime_power(p: int, e: int) -> tuple[tuple[int, int], ...]:
     budget = DEFAULT_RHO_BUDGET
     try:
         for d, piece in _cyclotomic_pieces(p, e + 1):
-            for q in primes_upto(d):
-                if d % q == 0:
-                    while piece % q == 0:
-                        found[q] = found.get(q, 0) + 1
-                        piece //= q
             k = d if d % 2 == 0 else 2 * d
-            budget = _split_into(piece, found, budget, _primes_one_mod(k), k, value)
+            of_d = [q for q in primes_upto(d) if d % q == 0]
+            trial = chain(of_d, _primes_one_mod(k))
+            budget = _split_into(piece, found, budget, trial, k, value)
     except FactorizationExhausted as exc:
         _exhausted[key] = str(exc)
         raise

@@ -122,8 +122,6 @@ def primitive_decomposition(n: FactoredInteger) -> PrimitiveDecomposition:
     cofactor = n if rest == n.value else FactoredInteger(
         rest, tuple((p, e) for p, e in n.factors if rest % p == 0)
     )
-    leftover_alpha = abundancy(cofactor)
-    leftover_mp = leftover_alpha.denominator == 1 and leftover_alpha >= 2
     return PrimitiveDecomposition(
-        tuple(parts), tuple(multipliers), cofactor, leftover_mp
+        tuple(parts), tuple(multipliers), cofactor, classify(cofactor).multiperfect
     )

@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import gcd, lcm, prod
 
 from .arithmetic import (
@@ -228,13 +229,14 @@ def _p1_cap(alpha: Fraction, s: int) -> int:
 
 
 def _ceiling_steps(
-    candidates: tuple[int, ...], used: dict[int, int], nxt: int, count: int, room: int
+    candidates, used: dict[int, int], nxt: int, count: int, room: int
 ) -> list[tuple[int, int]] | None:
     """Prefix products (prod q, prod (q-1)) of the smallest free candidates.
 
-    Free means not used and not nxt. Entry k covers the k smallest, from
-    (1, 1) on; the list stops once it holds count primes or prod q exceeds
-    room. None when the candidates run out first.
+    candidates yields primes ascending; free means not used and not nxt.
+    Entry k covers the k smallest, from (1, 1) on; the list stops once it
+    holds count primes or prod q exceeds room. None when the candidates
+    run out first.
     """
     steps = [(1, 1)]
     qp = qm = 1
@@ -249,10 +251,9 @@ def _ceiling_steps(
 
 
 @cache
-def _primes_above(p1: int) -> tuple[int, ...]:
-    """The primes in (p1, CEILING_SIEVE], one tuple per p1 for every walker."""
-    primes = primes_upto(CEILING_SIEVE)
-    return primes[bisect_right(primes, p1) :]
+def _ceiling_primes() -> tuple[int, ...]:
+    """The primes up to CEILING_SIEVE, one tuple that every walker reads."""
+    return primes_upto(CEILING_SIEVE)
 
 
 class _Walk:
@@ -265,7 +266,7 @@ class _Walk:
     """
 
     __slots__ = (
-        "num", "den", "limit", "depth_cap", "p1", "above_p1", "below_p1", "rule",
+        "num", "den", "limit", "depth_cap", "p1", "ceiling_start", "below_p1", "rule",
         "found", "nodes", "prunes",
     )
 
@@ -274,7 +275,8 @@ class _Walk:
         self.limit = limit
         self.depth_cap = depth_cap
         self.p1 = p1
-        self.above_p1 = _primes_above(p1)
+        # The index of the first prime above p1 in _ceiling_primes().
+        self.ceiling_start = bisect_right(_ceiling_primes(), p1)
         self.below_p1 = tuple((q, 0) for q in primes_upto(p1 - 1))
         self.rule = ChainRule(alpha)
         self.found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
@@ -372,7 +374,8 @@ class _Walk:
                     # Built at the first child that needs it, whose room is the
                     # largest left on the ladder; rule.used is the node's
                     # chain again whenever the ladder resumes.
-                    steps = _ceiling_steps(self.above_p1, rule.used, nxt, free, room)
+                    above = islice(_ceiling_primes(), self.ceiling_start, None)
+                    steps = _ceiling_steps(above, rule.used, nxt, free, room)
                     k = len(steps) - 1 if steps else 0
                 if steps is not None:
                     # m > 1 has at most `free` primes, each above p1 and neither

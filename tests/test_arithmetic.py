@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from multiperfect.arithmetic import (
     FactorizationExhausted,
     _pollard_rho,
     _primes_one_mod,
-    _rho_step_cost,
+    _split_into,
     abundancy,
     factored_sigma_prime_power,
     factorize,
@@ -282,6 +284,28 @@ def _first_prime_one_mod(k, start):
     return q
 
 
+def _gcd_points(n, k):
+    """An unlimited walk on x^k + c (k > 2) and its evaluations at each gcd.
+
+    pow runs once per evaluation there; for k = 2 the list stays empty.
+    """
+    evaluations, points = [0], []
+
+    def counting_pow(y, e, m):
+        evaluations[0] += 1
+        return pow(y, e, m)
+
+    def noting_gcd(a, b):
+        points.append(evaluations[0])
+        return gcd(a, b)
+
+    with patch.object(arithmetic, "pow", counting_pow, create=True):
+        with patch.object(arithmetic, "gcd", noting_gcd):
+            full = _pollard_rho(n, 10**7, k)
+    assert full[0] is not None
+    return full, points if k > 2 else []
+
+
 class TestPollardRho:
     def test_classical_map_steps_unchanged(self):
         # (factor, steps) of the x^2 + c walk, pinned so that the exponent
@@ -295,12 +319,31 @@ class TestPollardRho:
         assert _pollard_rho(2**64 + 1, 10**6) == (274177, 1918)
 
     def test_stops_at_the_budget(self):
-        assert _pollard_rho(1_000_003 * 1_000_033, 100) == (None, 100)
-        assert _pollard_rho(1_000_003 * 1_000_033, 0) == (None, 0)
+        # A Brent round r = 1, 2, 4, ... of x^2 + c advances x by r, then
+        # takes batches of up to 128 with a gcd after each: 62 evaluations
+        # after round 16, and round 32 needs 64 more before its gcd.
+        n = 1_000_003 * 1_000_033
+        assert _pollard_rho(n, 100) == (None, 62)
+        assert _pollard_rho(n, 1) == (None, 0)
+        assert _pollard_rho(n, 0) == (None, 0)
+        # Round 256 starts at 510; its advance and first batch end at 894,
+        # and the second batch's gcd, at 1022, finds the factor.
+        assert _pollard_rho(n, 1021) == (None, 894)
+
+    def test_give_up_on_phi_13_of_311(self):
+        # sigma(311^12) = Phi_13(311) = 53 * n, walked with x^26 + c at 5
+        # steps an evaluation. 10^6 steps pay 200,000 evaluations: rounds
+        # through 2^15 end at 131,070, round 2^16 advances to 196,606 and 26
+        # batches reach 199,934; a 27th would end past 200,000.
+        n = 15496995035603460747396621581
+        assert sigma_prime_power(311, 12) == 53 * n
+        assert _pollard_rho(n, 10**6, 26) == (None, 999_670)
+        # 20,000 evaluations: round 2^13 would need 8,320 more after 16,382.
+        assert _pollard_rho(n, 10**5, 26) == (None, 81_910)
 
     def test_every_map_evaluation_is_a_step(self, monkeypatch):
         # x^k + c with k > 2 calls pow once per evaluation, and rho calls
-        # pow nowhere else
+        # pow nowhere else; each evaluation of x^74 + c is charged 7 steps
         calls = []
 
         def counting_pow(y, k, n):
@@ -312,7 +355,7 @@ class TestPollardRho:
         for budget in (10**6, 300):
             calls.clear()
             _, steps = _pollard_rho(n, budget, 74)
-            assert steps == len(calls) <= budget
+            assert steps == 7 * len(calls) <= budget
 
     @PROPERTY
     @given(
@@ -322,15 +365,25 @@ class TestPollardRho:
         st.integers(0, 5000),
     )
     def test_budget_only_cuts_the_walk(self, k, start1, start2, budget):
-        # A budget below the steps a walk needs stops it there, with no
-        # factor; any other budget leaves it as it is. The budgets one
-        # either side of the need check a batch cut by a single step.
+        # A budget below the steps a walk needs stops it at the last gcd it
+        # can pay for, with no factor; any other budget leaves it as it is.
+        # The budgets one either side of the need check a batch cut by a
+        # single step.
         n = _first_prime_one_mod(k, start1) * _first_prime_one_mod(k, start2)
-        full = _pollard_rho(n, 10**6, k)
+        full, points = _gcd_points(n, k)
         need = full[1]
         for b in (budget, need - 1, need):
-            expected = full if b >= need else (None, b)
-            assert _pollard_rho(n, b, k) == expected
+            factor, steps = _pollard_rho(n, b, k)
+            if b >= need:
+                assert (factor, steps) == full
+            elif k == 2:
+                # No evaluation count to check against: the stop is a gcd.
+                assert factor is None and steps <= b
+                assert _pollard_rho(n, steps, k) == (None, steps)
+            else:
+                cost = k.bit_length()
+                reached = max(p for p in [0] + points if p * cost <= b)
+                assert (factor, steps) == (None, reached * cost)
 
     @pytest.mark.parametrize("k", [4, 14, 26, 74])
     def test_power_map_splits_primes_one_mod_k(self, k):
@@ -399,14 +452,26 @@ class TestFactoredSigmaPrimePower:
         with pytest.raises(AssertionError, match="rho called again"):
             factored_sigma_prime_power.__wrapped__(3, 58)
 
-    def test_step_cost_is_the_bit_length(self):
-        assert _rho_step_cost(2) == 1
-        assert _rho_step_cost(14) == 4
-        assert _rho_step_cost(74) == 7
-        assert _rho_step_cost(118) == 7
+    def test_step_cost_is_the_bit_length(self, monkeypatch):
+        # A walk on x^k + c charges each evaluation k.bit_length() steps of
+        # x^2 + c: 3 for k = 4, 4 for k = 14 and 7 for k = 74 and 118.
+        calls = []
+
+        def counting_pow(y, k, n):
+            calls.append(k)
+            return pow(y, k, n)
+
+        monkeypatch.setattr(arithmetic, "pow", counting_pow, raising=False)
+        for k, cost in ((4, 3), (14, 4), (74, 7), (118, 7)):
+            n = _first_prime_one_mod(k, 10**6) * _first_prime_one_mod(k, 10**7)
+            calls.clear()
+            factor, steps = _pollard_rho(n, 10**7, k)
+            assert factor is not None
+            assert steps == cost * len(calls)
 
     def test_budget_is_charged_by_step_cost(self, monkeypatch):
-        # sigma(17^36) = Phi_37(17) is one piece, walked with x^74 + c
+        # sigma(17^36) = Phi_37(17) is one piece, walked with x^74 + c; rho
+        # gets the budget in steps of x^2 + c, as it stands
         calls = []
 
         def spy(n, budget, k=2):
@@ -418,4 +483,21 @@ class TestFactoredSigmaPrimePower:
         monkeypatch.setattr(arithmetic, "_exhausted", {})
         with pytest.raises(FactorizationExhausted):
             factored_sigma_prime_power.__wrapped__(17, 36)
-        assert calls == [(8000 // 7, 74)]
+        assert calls == [(8000, 74)]
+        # Three primes past trial division take two rho calls; each call's
+        # charge comes off the budget the next one gets and the one returned
+        calls.clear()
+
+        def charging(n, budget, k=2):
+            out = _pollard_rho(n, budget, k)
+            calls.append((budget, out[1]))
+            return out
+
+        monkeypatch.setattr(arithmetic, "_pollard_rho", charging)
+        n = 1_000_003 * 1_000_033 * 1_000_037
+        found = {}
+        left = _split_into(n, found, 10**6, (), 2, n)
+        assert found == {1_000_003: 1, 1_000_033: 1, 1_000_037: 1}
+        assert len(calls) == 2 and calls[0][0] == 10**6
+        assert calls[1][0] == calls[0][0] - calls[0][1]
+        assert left == calls[1][0] - calls[1][1]

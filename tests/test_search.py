@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, prod
@@ -712,17 +713,32 @@ class TestSafetyPaths:
         # Too few ceiling primes: _ceiling_steps runs out and the ceiling
         # cuts nothing there.
         monkeypatch.setattr(search, "CEILING_SIEVE", 20)
-        search._primes_above.cache_clear()
+        search._ceiling_primes.cache_clear()
         try:
             short = chain_search(params)
         finally:
-            search._primes_above.cache_clear()
+            search._ceiling_primes.cache_clear()
         assert any(gave_up)
         assert [f.number.value for f in short.found] == [
             f.number.value for f in full.found
         ]
         assert short.exhaustive and full.exhaustive
         assert short.nodes_explored >= full.nodes_explored
+
+    def test_walks_share_one_ceiling_table(self):
+        # alpha 2000/1999 at r 2 roots a walk at each of the 550 primes up
+        # to its p1 cap, 4000. They all read one table of the primes up to
+        # CEILING_SIEVE, so a finished search keeps no table per root; a
+        # slice kept for each p1 would hold about 26 MiB here.
+        primes_upto(search.CEILING_SIEVE)  # the sieve is built before tracing
+        tracemalloc.start()
+        try:
+            report = chain_search(SearchParams(Fraction(2000, 1999), 2, 10**6))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.exhaustive
+        assert held < 2 * 2**20
 
     def test_recursion_limit_is_reported(self, monkeypatch):
         def too_deep(walk, p, e, product, sigma_prod):
