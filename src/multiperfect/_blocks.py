@@ -71,9 +71,12 @@ def _scan_block(task) -> list[int]:
     """The n in [lo, hi) whose sigma(n) mod 2^16 meets some target's congruence."""
     lo, hi, targets = task
     sig, n = _sigma_block(lo, hi), _ramp(hi - lo)[lo % M : lo % M + hi - lo]
-    sides = ((t.denominator % M, t.numerator % M) for t in targets)
-    hits = ((sig if den == 1 else sig * den) == n * num for den, num in sides)
-    hit = next(hits)
-    for more in hits:
-        hit |= more
-    return (np.flatnonzero(hit) + lo).tolist()
+    # One buffer for every target: num*n - den*sigma(n) wraps to 0 exactly
+    # at a match, and miss keeps the n that no target has matched.
+    diff, miss = np.empty_like(n), np.ones(hi - lo, dtype=bool)
+    for t in targets:
+        den, num = t.denominator % M, t.numerator % M
+        np.multiply(n, num, out=diff)
+        np.subtract(diff, sig if den == 1 else sig * den, out=diff)
+        np.logical_and(miss, diff, out=miss)
+    return (np.flatnonzero(np.logical_not(miss, out=miss)) + lo).tolist()

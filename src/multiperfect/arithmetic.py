@@ -8,11 +8,11 @@ carried together with their prime-power factorization (FactoredInteger).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
+from operator import attrgetter
 
 # Trial division handles everything below this; larger cofactors go to rho.
 TRIAL_DIVISION_LIMIT = 100_000
@@ -25,8 +25,51 @@ class FactorizationExhausted(Exception):
     """A cofactor resisted the rho step budget, DEFAULT_RHO_BUDGET."""
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class Record:
+    """An immutable record of the fields its subclass names in ``__slots__``.
+
+    Each subclass gets an ``__init__`` that takes the fields by position or
+    by name, ``_defaults`` mapping trailing fields to defaults, and then
+    calls ``__post_init__`` to check them. Equality (same type only), hash,
+    repr and pickling all read the field tuple.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        # One __init__ compiled per type (about 0.1 ms each) binds arguments
+        # as fast as hand-written code; a generic *args/**kwargs one built
+        # records 20-50% slower. object.__setattr__ skips the refusing one.
+        names, defaults = cls.__slots__, cls._defaults
+        params = "".join(f", {n}=_d[{n!r}]" if n in defaults else f", {n}" for n in names)
+        sets = "".join(f"_set(self, {n!r}, {n}); " for n in names)
+        scope = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self{params}): {sets}self.__post_init__()", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        # Every record has two fields or more, so attrgetter gives a tuple.
+        cls._values = property(attrgetter(*names))
+
+    def __post_init__(self) -> None: pass
+    def __hash__(self) -> int: return hash(self._values)
+    def __reduce__(self): return type(self), self._values
+
+    def __eq__(self, other):
+        same_type = other.__class__ is self.__class__
+        return self._values == other._values if same_type else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):  # __delattr__ passes no value
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FactoredInteger(Record):
     """A positive integer together with its prime-power factorization.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly
@@ -34,8 +77,7 @@ class FactoredInteger:
     The number 1 has an empty factor tuple.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
     def __post_init__(self) -> None:
         if self.value < 1:

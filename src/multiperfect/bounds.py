@@ -11,12 +11,10 @@ holds for ln (ln 2 < 1) and fails for any log base below 2.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from typing import Optional, Union
 
-from .arithmetic import nth_odd_prime
+from .arithmetic import Record, nth_odd_prime
 
 DEFAULT_PRECISION = 128
 _MAX_PRECISION = 1 << 14
@@ -27,15 +25,13 @@ MAX_ABSOLUTE_R = 20
 # mpmath precision is context-global; serialize evaluations.
 _iv_lock = threading.Lock()
 
-Number = Union[int, Fraction]
+Number = int | Fraction
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval with exact rational endpoints, lower <= upper."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ("lower", "upper")
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
@@ -126,14 +122,14 @@ def _rigorous(build) -> Interval:
     raise ArithmeticError("interval evaluation did not stabilize")
 
 
-def _log_limit(iv, r: int, x: Optional[Number]):
+def _log_limit(iv, r: int, x: Number | None):
     """Interval for ln x; x=None means the conceptual limit 2^(4^r)."""
     if x is None:
         return iv.mpf(4) ** r * iv.log(iv.mpf(2))
     return iv.log(_iv_number(iv, x))
 
 
-def _require_limit(x: Optional[Number]) -> None:
+def _require_limit(x: Number | None) -> None:
     if x is not None and x < 3:
         raise ValueError("limit must be at least 3")
 
@@ -161,7 +157,7 @@ def count_coefficient(r: int) -> Interval:
     return _rigorous(build)
 
 
-def primitive_count_bound(alpha: Fraction, r: int, x: Optional[Number]) -> Interval:
+def primitive_count_bound(alpha: Fraction, r: int, x: Number | None) -> Interval:
     """Bound on the number of odd primitive alpha-perfect n <= x, omega <= r.
 
     1.31 * alpha/(alpha-1) * (ln x)^r in general; 0.05 * (ln x)^r when alpha
@@ -184,7 +180,7 @@ def primitive_count_bound(alpha: Fraction, r: int, x: Optional[Number]) -> Inter
     return _rigorous(build)
 
 
-def multiperfect_count_bound(k: int, r: int, x: Optional[Number]) -> Interval:
+def multiperfect_count_bound(k: int, r: int, x: Number | None) -> Interval:
     """Bound k * (ln x)^((r^2+8r)/9) on odd k-perfect n <= x with omega <= r."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -230,7 +226,7 @@ def bound_chain_check(k: int, r: int) -> list[tuple[str, bool]]:
     return _chain_check(k, r, None)
 
 
-def _chain_check(k: int, r: int, lhs: Optional[Interval]) -> list[tuple[str, bool]]:
+def _chain_check(k: int, r: int, lhs: Interval | None) -> list[tuple[str, bool]]:
     # lhs is multiperfect_count_bound(k, r, None), or None to evaluate it here.
     final = absolute_count_bound(k, r)  # also rejects k < 2 and r out of range
     q = Fraction(r * r + 8 * r, 9)
@@ -267,22 +263,22 @@ def _chain_check(k: int, r: int, lhs: Optional[Interval]) -> list[tuple[str, boo
     ]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """All bound values for one (alpha, r, x) triple.
 
-    Integer-only fields are None for non-integer alpha; absolute_count is
-    exact.
+    ``f_values`` maps i = 1..r to the Interval f(i), ``primitive_count`` is
+    an Interval and ``chain_inequalities`` lists (description, holds) pairs.
+    The integer-only ``multiperfect_count`` (an Interval) and the exact int
+    ``absolute_count`` are None for non-integer alpha.
     """
 
-    f_values: dict[int, Interval]
-    primitive_count: Interval
-    multiperfect_count: Optional[Interval]
-    absolute_count: Optional[int]
-    chain_inequalities: list[tuple[str, bool]]
+    __slots__ = (
+        "f_values", "primitive_count", "multiperfect_count", "absolute_count",
+        "chain_inequalities",
+    )
 
 
-def bound_report(alpha: Fraction, r: int, x: Optional[Number] = None) -> BoundReport:
+def bound_report(alpha: Fraction, r: int, x: Number | None = None) -> BoundReport:
     """Evaluate every bound at (alpha, r, x) plus f(1..r) and the chain check.
 
     ``x = None`` stands for the conceptual limit 2^(4^r).

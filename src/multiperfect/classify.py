@@ -8,44 +8,37 @@ peeling off the smallest qualifying unitary divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .arithmetic import (
     FactoredInteger,
+    Record,
     abundancy,
     sigma,
     sigma_prime_power,
 )
 
 
-@dataclass(frozen=True)
-class PerfectionClass:
+class PerfectionClass(Record):
     """Abundancy of n plus the multiperfection flags derived from it."""
 
-    alpha: Fraction
-    multiperfect: bool
-    rational_multiperfect: bool
+    __slots__ = ("alpha", "multiperfect", "rational_multiperfect")
 
     @property
     def status(self) -> str:
         return "multiperfect" if self.multiperfect else "not_multiperfect"
 
 
-@dataclass(frozen=True)
-class PrimitiveDecomposition:
-    """n = parts[0] * ... * parts[-1] * leftover, all pairwise coprime.
+class PrimitiveDecomposition(Record):
+    """n = parts[0] * ... * parts[-1] * leftover, FactoredIntegers pairwise coprime.
 
     Each part d satisfies d | sigma(d) with sigma(d) = multiplier * d and
     was the smallest unitary divisor of the remaining cofactor doing so;
     the leftover admits no such divisor.
     """
 
-    parts: tuple[FactoredInteger, ...]
-    multipliers: tuple[int, ...]
-    leftover: FactoredInteger
-    leftover_is_multiperfect: bool
+    __slots__ = ("parts", "multipliers", "leftover", "leftover_is_multiperfect")
 
     def __post_init__(self) -> None:
         product = self.leftover.value

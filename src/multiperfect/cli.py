@@ -10,12 +10,10 @@ search (a branch cut by the factorization budget or the recursion limit),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
-import traceback
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -97,6 +95,7 @@ def _render(output: str, docs, table, rows=()) -> None:
     line, rows (header first) as CSV, or the table lines. table and rows may
     be generators, so only the chosen form is built."""
     if output == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return
     for line in map(_json, docs) if output == "json" else table:
@@ -468,6 +467,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception:
+        import traceback
         traceback.print_exc()
         return 3
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -43,6 +42,7 @@ from .arithmetic import (
     nth_odd_prime,
     prime_count_upto,
     primes_upto,
+    Record,
     sigma,
 )
 from .bounds import bound_report
@@ -100,15 +100,11 @@ def _map(fn, tasks: list, worker_count: int, chunksize: int) -> list:
     return [fn(t) for t in tasks]
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(Record):
     """Target alpha, omega cap r, limit x, parity, and worker settings."""
 
-    alpha: Fraction
-    max_omega: int
-    limit: int
-    parity: str = "any"
-    worker_count: int = 1
+    __slots__ = ("alpha", "max_omega", "limit", "parity", "worker_count")
+    _defaults = {"parity": "any", "worker_count": 1}
 
     def __post_init__(self) -> None:
         _check_args((self.alpha,), self.limit, self.parity, self.worker_count)
@@ -126,27 +122,26 @@ class SearchParams:
         return False
 
 
-@dataclass(frozen=True)
-class FoundRecord:
-    number: FactoredInteger
-    primitive: bool
+class FoundRecord(Record):
+    """A found number, as a FactoredInteger, and whether it is primitive."""
+
+    __slots__ = ("number", "primitive")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    description: str
-    count: int
-    bound_text: str
-    passed: bool
+class BoundCheck(Record):
+    """One row of verify_counts: a count, its bound as text, and whether it held."""
+
+    __slots__ = ("description", "count", "bound_text", "passed")
 
 
-@dataclass
-class SearchReport:
-    params: SearchParams
-    found: tuple[FoundRecord, ...]
-    nodes_explored: int
-    pruned_by: dict[str, int]
-    incomplete_branches: tuple[str, ...] = ()
+class SearchReport(Record):
+    """A chain search's params, FoundRecords (ascending), node count, prune
+    counts by reason and the branches it left incomplete (strings)."""
+
+    __slots__ = (
+        "params", "found", "nodes_explored", "pruned_by", "incomplete_branches"
+    )
+    _defaults = {"incomplete_branches": ()}
 
     @property
     def exhaustive(self) -> bool:

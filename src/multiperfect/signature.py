@@ -16,12 +16,12 @@ unpeeled cofactor equals nu_p(S) - nu_p(alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .arithmetic import (
     FactoredInteger,
+    Record,
     factored_sigma_prime_power,
     factorize,
     is_prime,
@@ -40,14 +40,10 @@ class EmptyChain(Exception):
     """The first chain prime is a free choice, not determined by the rule."""
 
 
-@dataclass(frozen=True)
-class ChainSignature:
+class ChainSignature(Record):
     """(alpha, p1, exponents) plus the prime chain they determine."""
 
-    alpha: Fraction
-    p1: int
-    exponents: tuple[int, ...]
-    chain_primes: tuple[int, ...]
+    __slots__ = ("alpha", "p1", "exponents", "chain_primes")
 
     def __post_init__(self) -> None:
         if len(self.exponents) != len(self.chain_primes):
@@ -70,18 +66,15 @@ class ChainSignature:
         return out
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(Record):
     """Result of rebuilding a number from (alpha, p1, exponents).
 
     ``failure`` is None on success, otherwise one of "chain_broke_at_step"
     (with ``failed_step`` set), "chain_overran", or "not_alpha_perfect".
     """
 
-    number: Optional[FactoredInteger]
-    chain: tuple[tuple[int, int], ...]
-    failure: Optional[str] = None
-    failed_step: Optional[int] = None
+    __slots__ = ("number", "chain", "failure", "failed_step")
+    _defaults = {"failure": None, "failed_step": None}
 
     @property
     def ok(self) -> bool:
@@ -183,14 +176,14 @@ class ChainRule:
             for q, e in (*self.used.items(), *below)
         ]
 
-    def next_prime(self) -> Optional[int]:
+    def next_prime(self) -> int | None:
         """Smallest unused prime p with nu_p(S) > nu_p(alpha), or None."""
         return min(self.mandatory(), default=None)
 
 
 def next_chain_prime(
     alpha: Fraction, chain: Sequence[tuple[int, int]]
-) -> Optional[int]:
+) -> int | None:
     """Smallest unused prime p with nu_p(prod sigma(p_j^e_j)) > nu_p(alpha).
 
     Returns None when no prime qualifies (the chain is closed).

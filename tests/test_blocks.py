@@ -58,6 +58,21 @@ def _reference_block(lo, hi):
     return sig
 
 
+def _traced_scan(targets):
+    """Candidates of one warm 2^20 block, its traced peak and what it keeps, in bytes."""
+    lo = 23 * DEFAULT_BLOCK_SIZE + 1
+    task = (lo, lo + DEFAULT_BLOCK_SIZE, targets)
+    blocks._scan_block(task)  # warm: the fold tables are cached
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = blocks._scan_block(task)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak - base, current - base
+
+
 @st.composite
 def block_bounds(draw):
     """(lo, hi) with lo anywhere to 2e8 or at an edge of the kernel.
@@ -106,18 +121,17 @@ class TestSigmaBlock:
 
     def test_scan_holds_at_most_four_block_arrays(self):
         """Four 2 MiB uint16 arrays at most, and nothing block-sized kept after."""
-        lo = 23 * DEFAULT_BLOCK_SIZE + 1
-        task = (lo, lo + DEFAULT_BLOCK_SIZE, (Fraction(2),))
-        blocks._scan_block(task)  # warm: the fold tables are cached
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            blocks._scan_block(task)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 4 * 2 * DEFAULT_BLOCK_SIZE
-        assert current - base < 1 << 20
+        _, peak, kept = _traced_scan((Fraction(2),))
+        assert peak <= 4 * 2 * DEFAULT_BLOCK_SIZE
+        assert kept < 1 << 20
+
+    def test_more_targets_reuse_the_same_buffers(self):
+        """Five targets peak within 0.5 MiB of one, and find each one's candidates."""
+        five, peak5, _ = _traced_scan(INTEGER_ABUNDANCIES)
+        one, peak1, _ = _traced_scan(INTEGER_ABUNDANCIES[:1])
+        assert peak5 - peak1 <= 1 << 19
+        each = [_traced_scan((t,))[0] for t in INTEGER_ABUNDANCIES]
+        assert one == each[0] and five == sorted(set().union(*each))
 
 
 class TestCandidates:

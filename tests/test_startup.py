@@ -2,7 +2,9 @@
 
 numpy serves only the sieve's block kernel and mpmath only the interval
 evaluation of the bounds; a process that runs neither must not pay for
-importing them, and none pays for a process pool it does not start.
+importing them, and none pays for a process pool it does not start. The
+package itself loads no standard-library machinery that a normal run
+leaves unused.
 """
 
 import json
@@ -33,10 +35,17 @@ print(json.dumps(steps))
 """
 
 
+SRC = str(Path(multiperfect.__file__).parents[1])
+
+# Each costs start-up time and serves no normal run: dataclasses pulls in
+# inspect, typing is only annotations, traceback serves the exit-3 path
+# and csv only --output csv.
+UNUSED_AT_START = ("dataclasses", "inspect", "typing", "traceback", "csv")
+
+
 def test_heavy_imports_wait_for_first_use():
-    src = str(Path(multiperfect.__file__).parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env
     )
@@ -47,3 +56,18 @@ def test_heavy_imports_wait_for_first_use():
         "brute_scan": ["numpy"],
         "bound_report": ["numpy", "mpmath"],
     }
+
+
+def test_import_loads_no_unused_stdlib_machinery():
+    # -S skips site, whose .pth files may import any of these on their own.
+    script = (
+        "import sys, multiperfect, multiperfect.cli; "
+        f"print(sorted(m for m in {UNUSED_AT_START!r} if m in sys.modules))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
